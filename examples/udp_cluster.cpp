@@ -13,14 +13,14 @@
 #include "chord/node.hpp"
 #include "chord/ring_view.hpp"
 #include "dat/dat_node.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 
 int main() {
   using namespace dat;
   constexpr std::size_t kNodes = 16;
   const IdSpace space(32);
 
-  net::UdpNetwork network;
+  netio::NetioNetwork network;
   chord::NodeOptions node_options;
   node_options.stabilize_interval_us = 50'000;
   node_options.fix_fingers_interval_us = 10'000;

@@ -9,16 +9,16 @@
 #include "dat/dat_node.hpp"
 #include "datd/status.hpp"
 #include "net/rpc.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 #include "obs/export.hpp"
 #include "obs/selfmon.hpp"
 
 namespace dat::datd {
 
 /// Synchronous RPC client for the datd admin surface, used by datctl's
-/// remote subcommands and the chaos supervisor's SLO scraper. Owns a small
-/// poll-backed network with one OS-assigned socket; every call pumps that
-/// loop until the reply arrives or the deadline passes, so callers get
+/// remote subcommands and the chaos supervisor's SLO scraper. Owns a netio
+/// network with one OS-assigned socket and no metrics; every call pumps
+/// that loop until the reply arrives or the deadline passes, so callers get
 /// plain optionals instead of callbacks.
 class AdminClient {
  public:
@@ -64,7 +64,7 @@ class AdminClient {
   bool pump_until(const bool& done);
 
   std::uint64_t timeout_us_;
-  net::UdpNetwork network_;
+  netio::NetioNetwork network_;
   net::Transport& transport_;
   std::unique_ptr<net::RpcManager> rpc_;
 };

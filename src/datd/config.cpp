@@ -104,8 +104,6 @@ CliFlags Config::make_flags() const {
             "UDP port to bind (0 = OS-assigned)")
       .flag("create", create, "bootstrap a fresh ring instead of joining")
       .flag("seeds", seeds_csv(), "comma-separated ip:port join targets")
-      .flag("backend", backend,
-            "net backend: poll|netio (empty = DAT_NET_BACKEND or poll)")
       .flag("seed", static_cast<std::int64_t>(seed), "rng seed")
       .flag("incarnation", static_cast<std::int64_t>(incarnation),
             "restart generation (supervisor-managed)")
@@ -171,14 +169,6 @@ Config Config::from_flags(const CliFlags& flags) {
   config.port = static_cast<std::uint16_t>(uint_flag("port", 65535));
   config.create = flags.get_bool("create");
   config.seeds = split_csv(flags.get_string("seeds"));
-  config.backend = flags.get_string("backend");
-  if (!config.backend.empty() && config.backend != "poll" &&
-      config.backend != "legacy" && config.backend != "netio" &&
-      config.backend != "epoll") {
-    throw std::invalid_argument(
-        "--backend \"" + config.backend +
-        "\": unknown backend (valid: poll, legacy, netio, epoll)");
-  }
   config.seed = uint_flag("seed", std::numeric_limits<std::int64_t>::max());
   config.incarnation =
       uint_flag("incarnation", std::numeric_limits<std::int64_t>::max());

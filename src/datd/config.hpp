@@ -23,7 +23,6 @@ struct Config {
   std::uint16_t port = 0;       ///< UDP port to bind (0 = OS-assigned)
   bool create = false;          ///< bootstrap a fresh ring instead of joining
   std::vector<std::string> seeds;  ///< "ip:port" join targets, tried in order
-  std::string backend;          ///< "", "poll", "legacy", "netio", "epoll"
   std::uint64_t seed = 1;       ///< rng seed (identifier probing etc.)
   std::uint64_t incarnation = 0;  ///< restart generation, supervisor-managed
 

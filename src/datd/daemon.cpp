@@ -12,8 +12,6 @@
 #include "common/rng.hpp"
 #include "datd/signals.hpp"
 #include "lb/drain.hpp"
-#include "net/udp_transport.hpp"
-#include "netio/netio_network.hpp"
 #include "obs/export.hpp"
 #include "obs/postmortem.hpp"
 
@@ -23,48 +21,22 @@ namespace {
 
 constexpr std::uint64_t kPumpSliceUs = 50'000;
 constexpr std::uint64_t kJoinTimeoutUs = 3'000'000;
-std::unique_ptr<net::NodeHostNetwork> make_network(
-    const Config& config, obs::MetricsRegistry& metrics) {
-  net::NetBackend backend = net::NetBackend::kPoll;
-  if (config.backend.empty()) {
-    backend = net::net_backend_from_env(net::NetBackend::kPoll);
-  } else if (config.backend == "netio" || config.backend == "epoll") {
-    backend = net::NetBackend::kNetio;
-  }
-  if (backend == net::NetBackend::kNetio) {
-    netio::ReactorOptions reactor_options;
-    reactor_options.metrics = &metrics;
-    return std::make_unique<netio::NetioNetwork>(reactor_options);
-  }
-  return std::make_unique<net::UdpNetwork>();
-}
-
-/// The backend actually selected by make_network, as a dat_build_info label.
-std::string resolved_backend(const Config& config) {
-  net::NetBackend backend = net::NetBackend::kPoll;
-  if (config.backend.empty()) {
-    backend = net::net_backend_from_env(net::NetBackend::kPoll);
-  } else if (config.backend == "netio" || config.backend == "epoll") {
-    backend = net::NetBackend::kNetio;
-  }
-  return backend == net::NetBackend::kNetio ? "netio" : "poll";
-}
 
 }  // namespace
 
 Daemon::Daemon(Config config)
     : config_(std::move(config)),
       space_(config_.bits),
-      network_(make_network(config_, metrics_)) {
-  transport_ = &network_->add_node(config_.port);
+      network_(netio::ReactorOptions{.metrics = &metrics_}) {
+  transport_ = &network_.add_node(config_.port);
   chord::NodeOptions node_options;
   node_ = std::make_unique<chord::Node>(space_, *transport_, node_options,
                                         config_.seed);
   core::DatOptions dat_options;
   dat_options.epoch_us = config_.epoch_ms * 1000;
   dat_ = std::make_unique<core::DatNode>(*node_, dat_options);
-  runtime_ = std::make_unique<obs::ProcessRuntime>(metrics_, config_.incarnation,
-                                                   resolved_backend(config_));
+  runtime_ =
+      std::make_unique<obs::ProcessRuntime>(metrics_, config_.incarnation);
   register_admin_handlers();
 }
 
@@ -142,7 +114,7 @@ bool Daemon::join_with_retry() {
       done = true;
       ok = joined;
     });
-    network_->run_while([&] { return !done; }, kJoinTimeoutUs);
+    network_.run_while([&] { return !done; }, kJoinTimeoutUs);
     if (ok) return true;
     // A timed-out join may still be in flight; fail() cancels it (pending
     // callbacks guard on alive_) so the next attempt starts clean.
@@ -154,28 +126,28 @@ bool Daemon::join_with_retry() {
     delay_ms = std::min(config_.backoff_cap_ms,
                         config_.backoff_base_ms +
                             rng.next_below(ceiling - config_.backoff_base_ms));
-    network_->run_for(delay_ms * 1000);
+    network_.run_for(delay_ms * 1000);
   }
   return false;
 }
 
 int Daemon::run() {
   const std::uint64_t dump_period_us = config_.metrics_period_ms * 1000;
-  last_dump_us_ = network_->now_us();
+  last_dump_us_ = network_.now_us();
   for (;;) {
-    network_->run_for(kPumpSliceUs);
+    network_.run_for(kPumpSliceUs);
     const int sig = consume_signal();
     if (sig == SIGINT || sig == SIGTERM || leave_requested_) {
       const bool clean = drain();
       dump_metrics();
       return clean ? 0 : 1;
     }
-    if (network_->now_us() - last_dump_us_ >= dump_period_us) {
+    if (network_.now_us() - last_dump_us_ >= dump_period_us) {
       dump_metrics();
       // Keep the crash dump's pre-rendered body current: the handler can
       // only splice in what was rendered before the signal hit.
       if (postmortem_installed_) obs::Postmortem::refresh();
-      last_dump_us_ = network_->now_us();
+      last_dump_us_ = network_.now_us();
     }
   }
 }
@@ -183,9 +155,9 @@ int Daemon::run() {
 bool Daemon::drain() {
   serving_ = false;
   const std::uint64_t deadline =
-      network_->now_us() + config_.drain_deadline_ms * 1000;
+      network_.now_us() + config_.drain_deadline_ms * 1000;
   const auto remaining = [&]() -> std::uint64_t {
-    const std::uint64_t now = network_->now_us();
+    const std::uint64_t now = network_.now_us();
     return now >= deadline ? 0 : deadline - now;
   };
 
@@ -202,11 +174,11 @@ bool Daemon::drain() {
   const std::uint64_t settle_us = std::min<std::uint64_t>(
       remaining(), 2 * config_.epoch_ms * 1000 + 100'000);
   if (settle_us == 0) return false;
-  network_->run_for(settle_us);
+  network_.run_for(settle_us);
 
   if (remaining() == 0) return false;
   node_->leave();
-  network_->run_for(std::min<std::uint64_t>(remaining(), 100'000));
+  network_.run_for(std::min<std::uint64_t>(remaining(), 100'000));
   return remaining() > 0;
 }
 

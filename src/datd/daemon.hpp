@@ -10,7 +10,7 @@
 #include "dat/replicated.hpp"
 #include "datd/config.hpp"
 #include "datd/status.hpp"
-#include "net/node_host.hpp"
+#include "netio/netio_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime.hpp"
 #include "obs/selfmon.hpp"
@@ -18,11 +18,11 @@
 namespace dat::datd {
 
 /// One deployable DAT/Chord node: the object behind the `datd` binary. Owns
-/// a socket-backed network (poll or netio, runtime-selected), one chord
-/// node with its DAT layer and a ReplicatedAggregate workload, the admin
-/// RPC surface (`datd.status` / `datd.metrics` / `datd.leave` /
-/// `datd.rebalance` / `datd.alerts` / `datd.fleet`), the periodic metrics
-/// dump, the self-monitoring meta-trees and the crash postmortem hook.
+/// a netio socket host, one chord node with its DAT layer and a
+/// ReplicatedAggregate workload, the admin RPC surface (`datd.status` /
+/// `datd.metrics` / `datd.leave` / `datd.rebalance` / `datd.alerts` /
+/// `datd.fleet`), the periodic metrics dump, the self-monitoring
+/// meta-trees and the crash postmortem hook.
 ///
 /// Lifecycle: construct → bootstrap() (create a ring or join one with
 /// capped decorrelated-jitter retry across the seed list) → run() until a
@@ -59,7 +59,7 @@ class Daemon {
   [[nodiscard]] core::DatNode& dat() { return *dat_; }
   /// Null when --selfmon=false or before bootstrap().
   [[nodiscard]] obs::SelfMonitor* selfmon() { return selfmon_.get(); }
-  [[nodiscard]] net::NodeHostNetwork& network() { return *network_; }
+  [[nodiscard]] netio::NetioNetwork& network() { return network_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] net::Endpoint local() const { return transport_->local(); }
 
@@ -69,10 +69,11 @@ class Daemon {
 
   Config config_;
   IdSpace space_;
-  /// Daemon-scope instruments (reactor shards, process runtime); merged
-  /// with the node registry in telemetry_snapshot().
+  /// Daemon-scope instruments (reactor I/O, process runtime); merged with
+  /// the node registry in telemetry_snapshot(). Declared before network_:
+  /// the reactor holds a collector in it and unregisters on destruction.
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<net::NodeHostNetwork> network_;
+  netio::NetioNetwork network_;
   net::Transport* transport_ = nullptr;
   std::unique_ptr<chord::Node> node_;
   std::unique_ptr<core::DatNode> dat_;

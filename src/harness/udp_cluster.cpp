@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "harness/invariants.hpp"
-#include "netio/netio_network.hpp"
 
 #if DAT_CHECK_INVARIANTS
 #define DAT_HARNESS_CHECK_LOCAL() assert_local_invariants()
@@ -16,31 +15,19 @@
 
 namespace dat::harness {
 
-namespace {
-std::unique_ptr<net::NodeHostNetwork> make_network(
-    net::NetBackend backend, obs::MetricsRegistry& cluster_metrics) {
-  if (backend == net::NetBackend::kNetio) {
-    netio::ReactorOptions reactor_options;
-    reactor_options.metrics = &cluster_metrics;
-    return std::make_unique<netio::NetioNetwork>(reactor_options);
-  }
-  return std::make_unique<net::UdpNetwork>();
-}
-}  // namespace
-
 UdpCluster::UdpCluster(std::size_t n, UdpClusterOptions options)
     : options_(options),
       space_(options.bits),
-      network_(make_network(options.backend, cluster_metrics_)) {
+      network_(netio::ReactorOptions{.metrics = &cluster_metrics_}) {
   if (n == 0) throw std::invalid_argument("UdpCluster: n == 0");
 
-  auto& first_transport = network_->add_node();
+  auto& first_transport = network_.add_node();
   nodes_.push_back(std::make_unique<chord::Node>(
       space_, first_transport, options_.node, options_.seed));
   nodes_.front()->create();
 
   for (std::size_t i = 1; i < n; ++i) {
-    auto& transport = network_->add_node();
+    auto& transport = network_.add_node();
     nodes_.push_back(std::make_unique<chord::Node>(
         space_, transport, options_.node, options_.seed + 100 + i));
     bool joined = false;
@@ -49,8 +36,8 @@ UdpCluster::UdpCluster(std::size_t n, UdpClusterOptions options)
       joined = ok;
       failed = !ok;
     });
-    network_->run_while([&] { return !joined && !failed; },
-                       options_.join_timeout_us);
+    network_.run_while([&] { return !joined && !failed; },
+                      options_.join_timeout_us);
     if (!joined) {
       throw std::runtime_error("UdpCluster: join failed for node " +
                                std::to_string(i));
@@ -81,7 +68,7 @@ void UdpCluster::shutdown() {
   for (auto& node : nodes_) {
     if (node && node->alive()) node->leave();
   }
-  network_->run_for(100'000);  // let the leaving notices drain
+  network_.run_for(100'000);  // let the leaving notices drain
 }
 
 void UdpCluster::crash(std::size_t i) {
@@ -94,7 +81,7 @@ void UdpCluster::crash(std::size_t i) {
   // no departure notice is sent, peers must detect the failure.
   if (i < dats_.size()) dats_[i].reset();
   nodes_[i].reset();
-  network_->remove_node(ep);
+  network_.remove_node(ep);
 }
 
 std::size_t UdpCluster::lowest_live_slot() const {
@@ -119,7 +106,7 @@ bool UdpCluster::boot_slot(std::size_t i, std::optional<Id> forced_id) {
       nodes_[lowest_live_slot()]->self().endpoint;
   // A crash lost all state; the restarted instance is a brand-new node on a
   // fresh socket that happens to reuse the slot index.
-  auto& transport = network_->add_node();
+  auto& transport = network_.add_node();
   nodes_[i] = std::make_unique<chord::Node>(space_, transport, options_.node,
                                             next_seed_++);
   bool joined = false;
@@ -131,12 +118,12 @@ bool UdpCluster::boot_slot(std::size_t i, std::optional<Id> forced_id) {
         failed = !ok;
       },
       forced_id);
-  network_->run_while([&] { return !joined && !failed; },
-                     options_.join_timeout_us);
+  network_.run_while([&] { return !joined && !failed; },
+                    options_.join_timeout_us);
   if (!joined) {
     const net::Endpoint ep = transport.local();
     nodes_[i].reset();
-    network_->remove_node(ep);
+    network_.remove_node(ep);
     return false;
   }
   if (options_.with_dat && i < dats_.size()) {
@@ -156,8 +143,8 @@ bool UdpCluster::migrate(std::size_t i, Id new_id) {
   const net::Endpoint ep = nodes_[i]->self().endpoint;
   if (i < dats_.size()) dats_[i].reset();
   nodes_[i].reset();
-  network_->remove_node(ep);
-  network_->run_for(50'000);  // let the departure notices drain
+  network_.remove_node(ep);
+  network_.run_for(50'000);  // let the departure notices drain
   return boot_slot(i, new_id & space_.mask());
 }
 
@@ -206,7 +193,7 @@ chord::RingView UdpCluster::ring_view() const {
 
 bool UdpCluster::wait_converged() {
   const chord::RingView ring = ring_view();
-  const bool converged = network_->run_while(
+  const bool converged = network_.run_while(
       [&] {
         for (const auto& node : nodes_) {
           if (node && node->alive() && !node->converged_against(ring)) {
@@ -223,7 +210,7 @@ bool UdpCluster::wait_converged() {
 
 bool UdpCluster::run_until(const std::function<bool()>& condition,
                            std::uint64_t max_us) {
-  const bool met = network_->run_while([&] { return !condition(); }, max_us);
+  const bool met = network_.run_while([&] { return !condition(); }, max_us);
   maybe_dump_metrics();
   return met;
 }
@@ -250,7 +237,7 @@ void UdpCluster::dump_metrics(const std::string& path,
 
 void UdpCluster::maybe_dump_metrics() {
   if (options_.metrics_dump_path.empty()) return;
-  const std::uint64_t now = network_->now_us();
+  const std::uint64_t now = network_.now_us();
   if (last_dump_us_ != 0 &&
       now - last_dump_us_ < options_.metrics_dump_period_us) {
     return;

@@ -11,8 +11,7 @@
 #include "chord/node.hpp"
 #include "chord/ring_view.hpp"
 #include "dat/dat_node.hpp"
-#include "net/node_host.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
@@ -24,10 +23,6 @@ struct UdpClusterOptions {
   chord::NodeOptions node{};
   core::DatOptions dat{};
   bool with_dat = true;
-  /// Event-loop backend hosting the node sockets: the legacy poll(2) loop
-  /// or the netio epoll reactor. Overridable at runtime via DAT_NET_BACKEND
-  /// without touching call sites.
-  net::NetBackend backend = net::net_backend_from_env(net::NetBackend::kPoll);
   /// Wall-clock budget for each join to complete.
   std::uint64_t join_timeout_us = 5'000'000;
   /// Wall-clock budget for full finger-table convergence.
@@ -52,10 +47,7 @@ class UdpCluster {
   UdpCluster& operator=(const UdpCluster&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-  [[nodiscard]] net::NodeHostNetwork& network() noexcept { return *network_; }
-  [[nodiscard]] net::NetBackend backend() const noexcept {
-    return options_.backend;
-  }
+  [[nodiscard]] netio::NetioNetwork& network() noexcept { return network_; }
   [[nodiscard]] const IdSpace& space() const noexcept { return space_; }
   [[nodiscard]] chord::Node& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] core::DatNode& dat(std::size_t i) { return *dats_.at(i); }
@@ -102,7 +94,7 @@ class UdpCluster {
 
   /// Pumps for the given wall-clock duration.
   void run_for(std::uint64_t us) {
-    network_->run_for(us);
+    network_.run_for(us);
     maybe_dump_metrics();
   }
 
@@ -110,7 +102,7 @@ class UdpCluster {
   bool run_until(const std::function<bool()>& condition, std::uint64_t max_us);
 
   /// Registry for infrastructure shared by all nodes (the netio reactor's
-  /// shard counters land here when that backend is selected).
+  /// I/O counters and coalescer histogram land here).
   [[nodiscard]] obs::MetricsRegistry& cluster_metrics() noexcept {
     return cluster_metrics_;
   }
@@ -159,7 +151,7 @@ class UdpCluster {
   // Declared before network_: the netio reactor holds a collector in this
   // registry and unregisters it on destruction.
   obs::MetricsRegistry cluster_metrics_;
-  std::unique_ptr<net::NodeHostNetwork> network_;
+  netio::NetioNetwork network_;
   std::vector<std::unique_ptr<chord::Node>> nodes_;
   std::vector<std::unique_ptr<core::DatNode>> dats_;
   std::vector<AggregateSpec> cluster_aggregates_;

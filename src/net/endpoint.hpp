@@ -10,7 +10,6 @@ namespace dat::net {
 
 /// Packs an IPv4 address and UDP port into a Transport endpoint:
 /// (ipv4 << 16) | port, both host byte order. Never 0 for a bound socket.
-/// Shared by every real-socket backend (the legacy poll loop and netio).
 [[nodiscard]] inline Endpoint make_udp_endpoint(std::uint32_t ipv4_host_order,
                                                 std::uint16_t port) {
   return (static_cast<Endpoint>(ipv4_host_order) << 16) | port;

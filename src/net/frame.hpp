@@ -12,8 +12,7 @@ namespace dat::net {
 
 /// Wire container that packs several independently-encoded Message frames
 /// bound for the same destination into one datagram — the netio write
-/// coalescer's format, also understood by the legacy poll loop so the two
-/// backends interoperate. Layout:
+/// coalescer's format. Layout:
 ///
 ///   u8 magic (0xB7) | u8 version (1) | ( u32 frame_len | frame bytes )*
 ///

@@ -90,10 +90,9 @@ struct Reactor::Scratch {
     std::atomic<std::uint64_t> tasks_run{0};
   } stats;
 
-  /// Log-level gates cached once per loop iteration (the PR 3 pattern from
-  /// the legacy UDP drain loop): the drop/error paths can fire at line rate
-  /// under an adversarial flood, so they must not pay even the macro's
-  /// atomic level load per datagram. Loop-thread confined.
+  /// Log-level gates cached once per loop iteration: the drop/error paths
+  /// can fire at line rate under an adversarial flood, so they must not pay
+  /// even the macro's atomic level load per datagram. Loop-thread confined.
   bool log_debug = false;
   bool log_warn = true;
 
@@ -383,8 +382,8 @@ void Reactor::enqueue_send(NetioTransport& t, net::Endpoint to,
   t.counters_.bytes_sent += frame.size();
 
   if (!options_.coalesce && !options_.batch_syscalls) {
-    // Fully immediate path: one sendto per frame, the legacy loop's cost
-    // model (the bench baseline inside netio).
+    // Fully immediate path: one sendto per frame (the throughput bench's
+    // uncoalesced, unbatched baseline).
     Scratch::Stats& stats = scratch_->stats;
     if (send_datagram(t.fd_, to, frame)) {
       stats.datagrams_out.fetch_add(1, std::memory_order_relaxed);

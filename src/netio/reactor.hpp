@@ -27,7 +27,7 @@ class Reactor;
 /// recvfrom/sendto fallback otherwise).
 struct ReactorOptions {
   /// Pack multiple frames bound for the same destination into one batch
-  /// datagram (net/frame.hpp). Receivers on either backend split them.
+  /// datagram (net/frame.hpp). Receivers split them back into frames.
   bool coalesce = true;
   /// Drain and flush sockets with recvmmsg/sendmmsg where compiled in;
   /// false forces the portable one-datagram-per-syscall path everywhere
@@ -133,7 +133,7 @@ class NetioTransport final : public net::Transport {
 /// a timer wheel and a cross-thread task queue. Two driving modes:
 ///
 ///  - inline: the owner calls poll_once() from its own thread (NetioNetwork
-///    wraps this into the legacy run_for/run_while surface);
+///    wraps this into the run_for/run_while surface);
 ///  - threaded: start() spawns the shard thread, stop() joins it
 ///    (ReactorPool runs N of these for the multi-shard configuration).
 ///

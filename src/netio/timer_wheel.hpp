@@ -21,9 +21,7 @@ namespace dat::netio {
 /// shard may arm or cancel timers while another thread drives the wheel.
 ///
 /// Resolution is one tick (default 1024 us): a timer never fires early, and
-/// fires at most ~one tick late once advance() observes the deadline — the
-/// same order of slack the legacy poll loop had from its millisecond poll
-/// timeout.
+/// fires at most ~one tick late once advance() observes the deadline.
 class TimerWheel {
  public:
   TimerWheel(std::uint64_t tick_us, std::size_t slot_count);

@@ -44,10 +44,9 @@ std::uint64_t process_rss_bytes() {
 }
 
 ProcessRuntime::ProcessRuntime(MetricsRegistry& registry,
-                               std::uint64_t incarnation, std::string backend)
+                               std::uint64_t incarnation)
     : registry_(registry),
       incarnation_(incarnation),
-      backend_(std::move(backend)),
       start_us_(steady_now_us()) {
   collector_id_ = registry_.add_collector([this](MetricsSnapshot& out) {
     const auto add = [&out](const char* name, double value) {
@@ -64,9 +63,8 @@ ProcessRuntime::ProcessRuntime(MetricsRegistry& registry,
     Sample info;
     info.name = "dat_build_info";
     info.type = MetricType::kGauge;
-    info.labels = canonical_labels({{"sha", build_sha()},
-                                    {"version", build_version()},
-                                    {"backend", backend_}});
+    info.labels = canonical_labels(
+        {{"sha", build_sha()}, {"version", build_version()}});
     info.value = 1.0;
     out.samples.push_back(std::move(info));
   });

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -19,8 +18,8 @@ namespace dat::obs {
 ///   dat_daemon_incarnation   gauge  restart generation (supervisor-managed)
 ///   dat_daemon_pid           gauge  OS process id
 ///   dat_daemon_rss_bytes     gauge  resident set size (0 if unreadable)
-///   dat_build_info           gauge  constant 1 with sha/version/backend
-///                                   labels (mixed-version fleets show up as
+///   dat_build_info           gauge  constant 1 with sha/version labels
+///                                   (mixed-version fleets show up as
 ///                                   distinct label sets during rolling
 ///                                   restarts)
 ///
@@ -29,8 +28,7 @@ namespace dat::obs {
 /// same clock. Unregisters itself on destruction.
 class ProcessRuntime {
  public:
-  ProcessRuntime(MetricsRegistry& registry, std::uint64_t incarnation,
-                 std::string backend = {});
+  ProcessRuntime(MetricsRegistry& registry, std::uint64_t incarnation);
   ~ProcessRuntime();
 
   ProcessRuntime(const ProcessRuntime&) = delete;
@@ -44,7 +42,6 @@ class ProcessRuntime {
  private:
   MetricsRegistry& registry_;
   std::uint64_t incarnation_;
-  std::string backend_;
   std::uint64_t start_us_;
   std::uint64_t collector_id_;
 };

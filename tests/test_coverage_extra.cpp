@@ -8,14 +8,14 @@
 #include <memory>
 
 #include "harness/sim_cluster.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 
 namespace {
 
 using namespace dat;
 
 TEST(UdpLargePayload, TensOfKilobytesRoundTrip) {
-  net::UdpNetwork network;
+  netio::NetioNetwork network;
   auto& a = network.add_node();
   auto& b = network.add_node();
   net::RpcManager client(a);

@@ -1,7 +1,7 @@
 // datd building blocks: config file + flag parsing, the status wire
-// snapshot, fail-fast backend selection, the process-mode chaos plan, and
-// the graceful-drain protocol (handoffs + retracts) that lets a daemon
-// leave without losing or double-counting its subtree.
+// snapshot, the process-mode chaos plan, and the graceful-drain protocol
+// (handoffs + retracts) that lets a daemon leave without losing or
+// double-counting its subtree.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "dat/replicated.hpp"
 #include "harness/sim_cluster.hpp"
 #include "lb/drain.hpp"
-#include "net/node_host.hpp"
 
 namespace {
 
@@ -79,7 +78,8 @@ TEST(DatdConfig, Validation) {
                std::invalid_argument);
   EXPECT_THROW(parse({"--create=true", "--scheme=fancy"}),
                std::invalid_argument);
-  EXPECT_THROW(parse({"--create=true", "--backend=tcp"}),
+  // datd has no transport switch: --backend is an unknown flag.
+  EXPECT_THROW(parse({"--create=true", "--backend=netio"}),
                std::invalid_argument);
   EXPECT_THROW(parse({"--create=true", "--epoch-ms=0"}),
                std::invalid_argument);
@@ -189,50 +189,6 @@ TEST(DatdStatus, NoPredecessorRoundTrip) {
   EXPECT_FALSE(back.predecessor.has_value());
   EXPECT_TRUE(back.successors.empty());
   EXPECT_TRUE(back.aggregate_keys.empty());
-}
-
-// ----------------------------------------------- backend selection (env) --
-
-class BackendEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override { ::unsetenv("DAT_NET_BACKEND"); }
-};
-
-TEST_F(BackendEnvTest, UnsetAndEmptyFallBack) {
-  ::unsetenv("DAT_NET_BACKEND");
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kNetio),
-            net::NetBackend::kNetio);
-  ::setenv("DAT_NET_BACKEND", "", 1);
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kPoll),
-            net::NetBackend::kPoll);
-}
-
-TEST_F(BackendEnvTest, RecognizedValuesMap) {
-  ::setenv("DAT_NET_BACKEND", "poll", 1);
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kNetio),
-            net::NetBackend::kPoll);
-  ::setenv("DAT_NET_BACKEND", "legacy", 1);
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kNetio),
-            net::NetBackend::kPoll);
-  ::setenv("DAT_NET_BACKEND", "netio", 1);
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kPoll),
-            net::NetBackend::kNetio);
-  ::setenv("DAT_NET_BACKEND", "epoll", 1);
-  EXPECT_EQ(net::net_backend_from_env(net::NetBackend::kPoll),
-            net::NetBackend::kNetio);
-}
-
-TEST_F(BackendEnvTest, UnknownValueFailsFastNamingTheValidSet) {
-  ::setenv("DAT_NET_BACKEND", "io_uring", 1);
-  try {
-    (void)net::net_backend_from_env(net::NetBackend::kPoll);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& err) {
-    const std::string what = err.what();
-    EXPECT_NE(what.find("io_uring"), std::string::npos) << what;
-    EXPECT_NE(what.find("poll"), std::string::npos) << what;
-    EXPECT_NE(what.find("netio"), std::string::npos) << what;
-  }
 }
 
 // ---------------------------------------------------- process chaos plan --

@@ -1,7 +1,7 @@
 // Real-process checks for the deployment binaries: exit-code contracts of
-// datd / datctl / dat_supervisor on bad invocations, the fail-fast backend
-// env gate, and a small end-to-end supervisor soak that forks actual datd
-// daemons on loopback and asserts the recovery SLOs.
+// datd / datctl / dat_supervisor on bad invocations, and a small end-to-end
+// supervisor soak that forks actual datd daemons on loopback and asserts
+// the recovery SLOs.
 //
 // Binary paths arrive as compile definitions (DATD_BIN etc.) so the tests
 // work from any build directory.
@@ -31,13 +31,10 @@ namespace {
 using namespace dat;
 
 /// fork+execv the binary with `args`, returns the raw exit status (what
-/// waitpid reports). DAT_NET_BACKEND is inherited unless `env_backend`
-/// overrides it for the child only.
-int run_binary(const char* path, std::vector<std::string> args,
-               const char* env_backend = nullptr) {
+/// waitpid reports).
+int run_binary(const char* path, std::vector<std::string> args) {
   const pid_t pid = ::fork();
   if (pid == 0) {
-    if (env_backend != nullptr) ::setenv("DAT_NET_BACKEND", env_backend, 1);
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(path));
     for (std::string& a : args) argv.push_back(a.data());
@@ -65,14 +62,8 @@ TEST(DatdProcess, MissingBootstrapIsUsageError) {
 }
 
 TEST(DatdProcess, BadBackendFlagIsUsageError) {
-  EXPECT_EQ(run_binary(DATD_BIN, {"--create=true", "--backend=tcp"}), 2);
-}
-
-TEST(DatdProcess, UnknownEnvBackendFailsFast) {
-  // satellite: an unknown DAT_NET_BACKEND must abort startup with a clear
-  // error instead of silently falling back.
-  EXPECT_EQ(run_binary(DATD_BIN, {"--create=true", "--port=0"}, "io_uring"),
-            2);
+  // datd has no transport switch, so --backend is an unknown flag.
+  EXPECT_EQ(run_binary(DATD_BIN, {"--create=true", "--backend=netio"}), 2);
 }
 
 TEST(DatdProcess, HelpExitsZero) {

@@ -1,6 +1,6 @@
 // The netio subsystem itself: timer wheel, buffer arena, batch frame
-// container, coalesced send/decode, kernel truncation, legacy interop and
-// the threaded multi-shard pool (the TSan preset runs this file to vet the
+// container, the inline NetioNetwork host (binding, timers, coalesced
+// send/decode, RPC, kernel truncation) and the threaded multi-shard pool (the TSan preset runs this file to vet the
 // cross-shard timer and task paths).
 
 #include "netio/reactor.hpp"
@@ -14,7 +14,6 @@
 
 #include "net/frame.hpp"
 #include "net/rpc.hpp"
-#include "net/udp_transport.hpp"
 #include "netio/buffer_arena.hpp"
 #include "netio/netio_network.hpp"
 #include "netio/reactor_pool.hpp"
@@ -147,6 +146,65 @@ TEST(BatchFrameTest, TruncatedTailReportsErrorButKeepsEarlierFrames) {
 
 // ------------------------------------------------------ inline reactor
 
+TEST(NetioNetworkTest, BindsDistinctLoopbackPorts) {
+  NetioNetwork network;
+  auto& a = network.add_node();
+  auto& b = network.add_node();
+  EXPECT_NE(a.local(), b.local());
+  EXPECT_EQ(net::endpoint_ipv4(a.local()), 0x7F000001u);
+  EXPECT_NE(net::endpoint_port(a.local()), 0u);
+}
+
+TEST(NetioNetworkTest, TimersFireRoughlyOnTime) {
+  NetioNetwork network;
+  auto& a = network.add_node();
+  bool fired = false;
+  std::uint64_t at = 0;
+  const std::uint64_t start = network.now_us();
+  a.set_timer(50'000, [&] {
+    fired = true;
+    at = network.now_us();
+  });
+  network.run_while([&] { return !fired; }, 2'000'000);
+  ASSERT_TRUE(fired);
+  EXPECT_GE(at - start, 49'000u);
+  EXPECT_LE(at - start, 500'000u);  // generous: CI machines stall
+}
+
+TEST(NetioNetworkTest, CancelledTimerDoesNotFire) {
+  NetioNetwork network;
+  auto& a = network.add_node();
+  bool fired = false;
+  const auto id = a.set_timer(30'000, [&] { fired = true; });
+  a.cancel_timer(id);
+  network.run_for(80'000);
+  EXPECT_FALSE(fired);
+}
+
+TEST(NetioNetworkTest, RpcTimeoutAgainstClosedPort) {
+  NetioNetwork network;
+  auto& ta = network.add_node();
+  auto& dead = network.add_node();
+  const net::Endpoint dead_ep = dead.local();
+  network.remove_node(dead_ep);  // port closed; datagrams vanish (ICMP aside)
+
+  net::RpcManager client(ta);
+  net::RpcOptions options;
+  options.timeout_us = 50'000;
+  options.attempts = 2;
+  net::RpcStatus status = net::RpcStatus::kOk;
+  bool done = false;
+  client.call(dead_ep, "ping", net::Writer{},
+              [&](net::RpcStatus s, net::Reader&) {
+                status = s;
+                done = true;
+              },
+              options);
+  network.run_while([&] { return !done; }, 3'000'000);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(status, net::RpcStatus::kTimeout);
+}
+
 TEST(NetioNetworkTest, CoalescesAWaveIntoFewerDatagrams) {
   NetioNetwork network;
   auto& a = network.add_node();
@@ -212,39 +270,6 @@ TEST(NetioNetworkTest, KernelTruncationIsCountedAndDropped) {
   EXPECT_EQ(b.counters().truncated_datagrams, 1u);
   EXPECT_EQ(b.counters().decode_errors, 0u);
   EXPECT_EQ(network.reactor().counters().truncated_in, 1u);
-}
-
-TEST(NetioNetworkTest, InteroperatesWithLegacyPollBackend) {
-  // Both backends live on loopback, so sockets from one can message the
-  // other; the legacy loop must split netio's coalesced batches and netio
-  // must accept the legacy loop's raw frames.
-  NetioNetwork reactor_net;
-  net::UdpNetwork legacy_net;
-  auto& modern = reactor_net.add_node();
-  auto& old = legacy_net.add_node();
-
-  int old_received = 0;
-  old.set_receive_handler(
-      [&](net::Endpoint, const net::Message&) { ++old_received; });
-  int modern_received = 0;
-  modern.set_receive_handler(
-      [&](net::Endpoint, const net::Message&) { ++modern_received; });
-
-  constexpr int kWave = 6;
-  for (int i = 0; i < kWave; ++i) modern.send(old.local(), one_way("n2l"));
-  for (int i = 0; i < 200 && old_received < kWave; ++i) {
-    reactor_net.run_for(5'000);  // flush netio's coalesced batch
-    legacy_net.run_for(5'000);
-  }
-  EXPECT_EQ(old_received, kWave);
-  EXPECT_GE(reactor_net.reactor().counters().coalesced_datagrams_out, 1u);
-
-  old.send(modern.local(), one_way("l2n"));
-  for (int i = 0; i < 200 && modern_received < 1; ++i) {
-    legacy_net.run_for(5'000);
-    reactor_net.run_for(5'000);
-  }
-  EXPECT_EQ(modern_received, 1);
 }
 
 TEST(NetioNetworkTest, MmsgKnobFallsBackCleanly) {

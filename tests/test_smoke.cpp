@@ -10,7 +10,7 @@
 #include "gma/producer.hpp"
 #include "maan/attribute.hpp"
 #include "net/sim_transport.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 #include "sim/engine.hpp"
 #include "trace/cpu_trace.hpp"
 

@@ -304,8 +304,8 @@ int cmd_metrics(CliFlags& flags) {
   const obs::ExportFormat format = parse_format(flags.get_string("format"));
 
   // A real cluster on loopback UDP: its telemetry covers every layer
-  // (chord, rpc, transport, DAT, and — with DAT_NET_BACKEND=netio — the
-  // reactor shards via the cluster registry).
+  // (chord, rpc, transport, DAT, and the netio reactor's I/O counters via
+  // the cluster registry).
   harness::UdpClusterOptions options;
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   harness::UdpCluster cluster(n, options);
