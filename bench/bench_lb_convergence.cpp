@@ -14,7 +14,6 @@
 
 #include "json_out.hpp"
 #include "harness/sim_cluster.hpp"
-#include "lb/ports.hpp"
 #include "lb/rebalancer.hpp"
 
 namespace {
@@ -105,10 +104,9 @@ ProfileResult run_profile(const Profile& profile, std::size_t nodes,
   result.hot_share = volume > 0 ? profile.hot * 10.0 / volume : 0.0;
   result.initial_branching = measure();
 
-  lb::SimClusterPort port(cluster);
   lb::RebalancerOptions lb_options;
   lb_options.epoch_us = kEpochUs;
-  lb::Rebalancer rebalancer(port, keys, lb_options);
+  lb::Rebalancer rebalancer(cluster, keys, lb_options);
 
   std::size_t branching = result.initial_branching;
   while (result.epochs < kMaxRounds) {

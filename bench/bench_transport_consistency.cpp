@@ -5,8 +5,6 @@
 // live balanced-DAT tree statistics.
 
 #include <cstdio>
-#include <optional>
-#include <vector>
 
 #include "harness/live_tree.hpp"
 #include "harness/sim_cluster.hpp"
@@ -24,17 +22,10 @@ harness::LiveTreeStats run_udp(std::size_t n, Id key) {
   options.node.fix_fingers_interval_us = 10'000;
   options.node.rpc.timeout_us = 200'000;
   harness::UdpCluster cluster(n, std::move(options));
-  cluster.wait_converged();
-  cluster.inject_d0_hints();
-
-  std::vector<std::pair<Id, std::optional<Id>>> edges;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto parent =
-        cluster.node(i).dat_parent(key, chord::RoutingScheme::kBalanced);
-    edges.emplace_back(cluster.node(i).id(),
-                       parent ? std::optional<Id>(parent->id) : std::nullopt);
-  }
-  return harness::live_tree_stats(edges);
+  cluster.wait_converged(60'000'000);
+  cluster.refresh_d0_hints();
+  return harness::live_tree_stats(cluster, key,
+                                  chord::RoutingScheme::kBalanced);
 }
 
 harness::LiveTreeStats run_sim(std::size_t n, Id key) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "harness/sim_cluster.hpp"
 #include "lb/drain.hpp"
 
 namespace dat::chaos {
@@ -31,11 +32,24 @@ const char* fault_kind_label(FaultKind kind) {
 }
 }  // namespace
 
-Campaign::Campaign(harness::SimCluster& cluster, ChaosPlan plan,
+Campaign::Campaign(harness::Fleet& cluster, ChaosPlan plan,
                    CampaignOptions options)
     : cluster_(cluster), plan_(std::move(plan)), options_(std::move(options)) {
   if (options_.replicas == 0) {
     throw std::invalid_argument("Campaign: replicas == 0");
+  }
+  if (auto* sim = dynamic_cast<harness::SimCluster*>(&cluster_)) {
+    sim_network_ = &sim->network();
+  }
+  for (const FaultEvent& event : plan_.events) {
+    const bool network_fault = event.kind == FaultKind::kLossBurst ||
+                               event.kind == FaultKind::kLatencyBurst ||
+                               event.kind == FaultKind::kPartition ||
+                               event.kind == FaultKind::kHeal;
+    if (network_fault && sim_network_ == nullptr) {
+      throw std::invalid_argument("Campaign: " + event.describe() +
+                                  " needs the simulated network");
+    }
   }
   m_phases_ = &metrics_.counter("dat_chaos_phases_total");
   m_phase_failures_ = &metrics_.counter("dat_chaos_phase_failures_total");
@@ -45,7 +59,7 @@ Campaign::Campaign(harness::SimCluster& cluster, ChaosPlan plan,
   // Same key layout as core::ReplicatedAggregate: replica i rendezvouses at
   // H(name "#" i). Registering through the cluster keeps restarted slots
   // contributing without campaign-side bookkeeping.
-  harness::SimCluster::LocalValueFactory local =
+  harness::Fleet::LocalValueFactory local =
       options_.local_values
           ? options_.local_values
           : [](std::size_t slot) -> core::DatNode::LocalValueFn {
@@ -117,7 +131,7 @@ void Campaign::apply(const FaultEvent& event) {
       // A destroyed endpoint must not linger in the fabric's partition set.
       if (const auto it = partitioned_.find(event.slot);
           it != partitioned_.end()) {
-        cluster_.network().set_partitioned(it->second, false);
+        sim_network_->set_partitioned(it->second, false);
         partitioned_.erase(it);
       }
       // In the sim, a SIGKILL is an abrupt crash; a SIGTERM is what datd
@@ -148,14 +162,14 @@ void Campaign::apply(const FaultEvent& event) {
       break;
     }
     case FaultKind::kLossBurst:
-      cluster_.network().loss_burst(event.magnitude, event.duration_us);
+      sim_network_->loss_burst(event.magnitude, event.duration_us);
       break;
     case FaultKind::kLatencyBurst:
-      cluster_.network().latency_burst(event.magnitude, event.duration_us);
+      sim_network_->latency_burst(event.magnitude, event.duration_us);
       break;
     case FaultKind::kPartition: {
       const net::Endpoint ep = cluster_.node(event.slot).self().endpoint;
-      cluster_.network().set_partitioned(ep, true);
+      sim_network_->set_partitioned(ep, true);
       partitioned_[event.slot] = ep;
       break;
     }
@@ -165,7 +179,7 @@ void Campaign::apply(const FaultEvent& event) {
         throw std::logic_error("Campaign: " + event.describe() +
                                " targets a slot that is not partitioned");
       }
-      cluster_.network().set_partitioned(it->second, false);
+      sim_network_->set_partitioned(it->second, false);
       partitioned_.erase(it);
       break;
     }
@@ -193,11 +207,10 @@ void Campaign::run_rebalance(const FaultEvent& event) {
   const std::uint64_t epoch_us =
       cluster_.dat(probe_slot()).options().epoch_us;
   if (!rebalancer_) {
-    lb_port_ = std::make_unique<lb::SimClusterPort>(cluster_);
     lb::RebalancerOptions lb_options;
     lb_options.policy = options_.rebalance.policy;
     lb_options.epoch_us = epoch_us;
-    rebalancer_ = std::make_unique<lb::Rebalancer>(*lb_port_, all_keys_,
+    rebalancer_ = std::make_unique<lb::Rebalancer>(cluster_, all_keys_,
                                                    lb_options, &metrics_);
   }
   lb_.ran = true;
@@ -256,15 +269,15 @@ Campaign::Probe Campaign::probe_coverage() {
       pending->value = std::move(v);
     });
     const std::uint64_t deadline =
-        cluster_.engine().now() + options_.probe_timeout_us;
-    while (!pending->done && cluster_.engine().now() < deadline) {
+        cluster_.now_us() + options_.probe_timeout_us;
+    while (!pending->done && cluster_.now_us() < deadline) {
       cluster_.run_for(10'000);
     }
     if (pending->done && pending->status == net::RpcStatus::kOk &&
         pending->value.has_value()) {
       ++best.roots_answered;
       const bool fresh =
-          pending->value->updated_at_us + freshness >= cluster_.engine().now();
+          pending->value->updated_at_us + freshness >= cluster_.now_us();
       if (fresh) {
         best.coverage =
             std::max(best.coverage,
@@ -279,7 +292,7 @@ PhaseReport Campaign::run_verify(const FaultEvent& event) {
   PhaseReport phase;
   phase.phase = ++phase_;
   phase.at_us = event.at_us;
-  const std::uint64_t phase_start_us = cluster_.engine().now();
+  const std::uint64_t phase_start_us = cluster_.now_us();
 
   cluster_.run_for(options_.quiesce_us);
 
@@ -383,7 +396,7 @@ PhaseReport Campaign::run_verify(const FaultEvent& event) {
   m_phases_->inc();
   if (!phase.ok()) m_phase_failures_->inc();
   m_recovery_epochs_->observe(phase.epochs_to_recover);
-  m_phase_duration_us_->observe(cluster_.engine().now() - phase_start_us);
+  m_phase_duration_us_->observe(cluster_.now_us() - phase_start_us);
 
   std::ostringstream oss;
   oss << "t=" << event.at_us / 1000 << "ms phase=" << phase.phase
@@ -406,7 +419,7 @@ PhaseReport Campaign::run_verify(const FaultEvent& event) {
 CampaignReport Campaign::run() {
   if (ran_) throw std::logic_error("Campaign::run: already ran");
   ran_ = true;
-  const std::uint64_t start = cluster_.engine().now();
+  const std::uint64_t start = cluster_.now_us();
   for (const FaultEvent& event : plan_.events) {
     if (options_.interrupted && options_.interrupted()) {
       report_.interrupted = true;
@@ -414,8 +427,8 @@ CampaignReport Campaign::run() {
       break;
     }
     const std::uint64_t at = start + event.at_us;
-    if (cluster_.engine().now() < at) {
-      cluster_.run_for(at - cluster_.engine().now());
+    if (cluster_.now_us() < at) {
+      cluster_.run_for(at - cluster_.now_us());
     }
     apply(event);
   }

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "chaos/plan.hpp"
-#include "harness/sim_cluster.hpp"
-#include "lb/ports.hpp"
+#include "harness/fleet.hpp"
 #include "lb/rebalancer.hpp"
 #include "net/rpc.hpp"
+#include "net/sim_transport.hpp"
 #include "obs/metrics.hpp"
 
 namespace dat::chaos {
@@ -43,7 +43,7 @@ struct CampaignOptions {
   core::AggregateKind kind = core::AggregateKind::kCount;
   chord::RoutingScheme scheme = chord::RoutingScheme::kBalanced;
   /// Per-slot local values; null uses the slot index as the sample.
-  harness::SimCluster::LocalValueFactory local_values;
+  harness::Fleet::LocalValueFactory local_values;
 
   /// Settle window run before each verification.
   std::uint64_t quiesce_us = 2'000'000;
@@ -135,18 +135,21 @@ struct CampaignReport {
   }
 };
 
-/// Executes a ChaosPlan deterministically against a SimCluster: applies
-/// each fault at its virtual timestamp and, at every kVerify event, runs a
+/// Executes a ChaosPlan against a harness::Fleet: applies each fault at its
+/// timestamp on the fleet's clock and, at every kVerify event, runs a
 /// quiescent window and then checks the structural invariants, the
-/// coverage-recovery SLO and replica-query availability. All randomness is
-/// the cluster's own seeded Rng streams, so the produced event log is a
-/// pure function of (cluster seed, plan).
+/// coverage-recovery SLO and replica-query availability. On a SimCluster
+/// all randomness is the cluster's own seeded Rng streams, so the produced
+/// event log is a pure function of (cluster seed, plan); on a UdpCluster
+/// the same plan runs on wall-clock time over real sockets.
 class Campaign {
  public:
   /// The cluster must have its DAT layer enabled; the campaign registers
   /// its replica aggregates cluster-wide in the constructor so restarted
-  /// slots rejoin the trees automatically.
-  Campaign(harness::SimCluster& cluster, ChaosPlan plan,
+  /// slots rejoin the trees automatically. Network faults (loss and
+  /// latency bursts, partition, heal) need the simulated fabric: on any
+  /// other fleet a plan containing one throws std::invalid_argument.
+  Campaign(harness::Fleet& cluster, ChaosPlan plan,
            CampaignOptions options);
 
   /// Runs the whole plan; may be called once.
@@ -168,7 +171,7 @@ class Campaign {
 
   /// Campaign-level telemetry: fault counts by kind, phases run/failed,
   /// and per-phase recovery timing histograms (epochs to meet the
-  /// coverage SLO, virtual-time duration of quiesce + recovery). Populated
+  /// coverage SLO, fleet-clock duration of quiesce + recovery). Populated
   /// by run(); snapshot it afterwards (or merge into a cluster roll-up).
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
@@ -189,13 +192,14 @@ class Campaign {
   [[nodiscard]] net::RpcStats live_rpc_stats() const;
   void note(const std::string& line);
 
-  harness::SimCluster& cluster_;
+  harness::Fleet& cluster_;
+  /// The simulated fabric when the fleet is a SimCluster, else null.
+  net::SimNetwork* sim_network_ = nullptr;
   ChaosPlan plan_;
   CampaignOptions options_;
   std::vector<Id> keys_;
   /// keys_ plus the hot skewed trees — the set the rebalancer tracks.
   std::vector<Id> all_keys_;
-  std::unique_ptr<lb::SimClusterPort> lb_port_;
   std::unique_ptr<lb::Rebalancer> rebalancer_;
   LbSummary lb_;
   /// A rebalance event ran and its outcome awaits the closing verify.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "harness/sim_cluster.hpp"
+#include "harness/fleet.hpp"
 
 namespace dat::harness {
 
@@ -51,7 +51,7 @@ LiveTreeStats live_tree_stats(
   return stats;
 }
 
-LiveTreeStats live_tree_stats(SimCluster& cluster, Id key,
+LiveTreeStats live_tree_stats(Fleet& cluster, Id key,
                               chord::RoutingScheme scheme) {
   std::vector<std::pair<Id, std::optional<Id>>> edges;
   for (std::size_t i = 0; i < cluster.slot_count(); ++i) {

@@ -10,7 +10,7 @@
 
 namespace dat::harness {
 
-class SimCluster;
+class Fleet;
 
 /// Metrics of a DAT tree materialized from *live* node state (each node's
 /// locally computed dat_parent), as opposed to the RingView ground truth.
@@ -29,7 +29,7 @@ struct LiveTreeStats {
     const std::vector<std::pair<Id, std::optional<Id>>>& edges);
 
 /// Convenience: evaluates dat_parent on every live node of a cluster.
-[[nodiscard]] LiveTreeStats live_tree_stats(SimCluster& cluster, Id key,
+[[nodiscard]] LiveTreeStats live_tree_stats(Fleet& cluster, Id key,
                                             chord::RoutingScheme scheme);
 
 }  // namespace dat::harness

@@ -23,11 +23,11 @@ std::map<Id, double> by_key(const obs::MetricsSnapshot& snap,
 
 }  // namespace
 
-ClusterLoad collect_load(ClusterPort& port, const std::vector<Id>& keys) {
+ClusterLoad collect_load(harness::Fleet& fleet, const std::vector<Id>& keys) {
   ClusterLoad load;
-  for (std::size_t slot = 0; slot < port.slot_count(); ++slot) {
-    if (!port.is_live(slot)) continue;
-    chord::Node& node = port.chord_node(slot);
+  for (std::size_t slot = 0; slot < fleet.slot_count(); ++slot) {
+    if (!fleet.is_live(slot)) continue;
+    chord::Node& node = fleet.node(slot);
     const obs::MetricsSnapshot snap = node.telemetry().registry.snapshot();
     const auto children = by_key(snap, "dat_tree_children");
     const auto updates = by_key(snap, "dat_tree_updates_in");
@@ -40,7 +40,7 @@ ClusterLoad collect_load(ClusterPort& port, const std::vector<Id>& keys) {
     row.keys.reserve(keys.size());
     for (const Id raw : keys) {
       KeyLoad k;
-      k.key = raw & port.space().mask();
+      k.key = raw & fleet.space().mask();
       const auto get = [&k](const std::map<Id, double>& m) {
         const auto it = m.find(k.key);
         return it == m.end() ? 0.0 : it->second;
@@ -57,7 +57,7 @@ ClusterLoad collect_load(ClusterPort& port, const std::vector<Id>& keys) {
     load.nodes.push_back(std::move(row));
   }
   std::sort(load.ids.begin(), load.ids.end());
-  load.gap_ratio = chord::gap_ratio(port.space(), load.ids);
+  load.gap_ratio = chord::gap_ratio(fleet.space(), load.ids);
   return load;
 }
 

@@ -3,8 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "chord/node.hpp"
-#include "dat/dat_node.hpp"
+#include "harness/fleet.hpp"
 
 namespace dat::lb {
 
@@ -45,30 +44,10 @@ struct ClusterLoad {
   std::size_t max_children = 0; ///< max over nodes x tracked keys
 };
 
-/// Narrow view of a cluster the rebalancer can measure and act on. Adapters
-/// for SimCluster and UdpCluster live in lb/ports.hpp; tests can stub it.
-class ClusterPort {
- public:
-  virtual ~ClusterPort() = default;
-
-  [[nodiscard]] virtual const IdSpace& space() const = 0;
-  [[nodiscard]] virtual std::size_t slot_count() const = 0;
-  [[nodiscard]] virtual bool is_live(std::size_t slot) const = 0;
-  [[nodiscard]] virtual chord::Node& chord_node(std::size_t slot) = 0;
-  [[nodiscard]] virtual core::DatNode& dat_node(std::size_t slot) = 0;
-
-  /// Graceful leave + rejoin at `new_id` (identifier migration). Pumps the
-  /// cluster until the rejoin completed or failed.
-  virtual bool migrate(std::size_t slot, Id new_id) = 0;
-
-  /// Advances the cluster (virtual or wall clock) by `us`.
-  virtual void settle(std::uint64_t us) = 0;
-};
-
 /// One measurement round: reads every live node's metrics-registry snapshot
 /// and extracts the per-key dat_tree_* gauges for the tracked `keys`. Pure
 /// observation — no cluster state is touched beyond taking snapshots.
-[[nodiscard]] ClusterLoad collect_load(ClusterPort& port,
+[[nodiscard]] ClusterLoad collect_load(harness::Fleet& fleet,
                                        const std::vector<Id>& keys);
 
 }  // namespace dat::lb

@@ -15,10 +15,10 @@ std::string RoundReport::to_string() const {
   return buf;
 }
 
-Rebalancer::Rebalancer(ClusterPort& port, std::vector<Id> keys,
+Rebalancer::Rebalancer(harness::Fleet& fleet, std::vector<Id> keys,
                        RebalancerOptions options,
                        obs::MetricsRegistry* registry)
-    : port_(port),
+    : fleet_(fleet),
       keys_(std::move(keys)),
       options_(options),
       registry_(registry != nullptr ? registry : &own_registry_),
@@ -36,7 +36,7 @@ RoundReport Rebalancer::run_round() {
   report.round = history_.size();
 
   // Measure.
-  ClusterLoad load = collect_load(port_, keys_);
+  ClusterLoad load = collect_load(fleet_, keys_);
   for (NodeLoad& n : load.nodes) {
     for (KeyLoad& k : n.keys) {
       const auto handle = std::make_pair(n.slot, k.key);
@@ -55,25 +55,25 @@ RoundReport Rebalancer::run_round() {
 
   // Decide.
   const RebalancePlan plan =
-      plan_rebalance(load, port_.space(), options_.policy);
+      plan_rebalance(load, fleet_.space(), options_.policy);
   report.balanced = plan.empty();
 
   // Apply.
   for (const Migration& m : plan.migrations) {
-    if (!port_.is_live(m.slot)) continue;
-    if (port_.migrate(m.slot, m.to_id)) {
+    if (!fleet_.is_live(m.slot)) continue;
+    if (fleet_.migrate_node(m.slot, m.to_id)) {
       ++report.migrations;
       // The new incarnation restarts its counters from zero.
       for (const Id key : keys_) {
-        last_updates_.erase({m.slot, key & port_.space().mask()});
+        last_updates_.erase({m.slot, key & fleet_.space().mask()});
       }
     } else {
       ++report.migration_failures;
     }
   }
   for (const Shed& s : plan.sheds) {
-    if (!port_.is_live(s.slot)) continue;
-    const std::size_t moved = port_.dat_node(s.slot).shed_children(
+    if (!fleet_.is_live(s.slot)) continue;
+    const std::size_t moved = fleet_.dat(s.slot).shed_children(
         s.key, s.keep, options_.policy.handoff_ttl_us);
     if (moved != 0) {
       ++report.sheds;
@@ -81,7 +81,7 @@ RoundReport Rebalancer::run_round() {
     }
   }
   if (options_.settle_us != 0 && !plan.empty()) {
-    port_.settle(options_.settle_us);
+    fleet_.run_for(options_.settle_us);
   }
 
   m_rounds_->inc();

@@ -40,7 +40,7 @@ struct RoundReport {
 /// The periodic measurement-driven load balancer (Sec. 4 of the paper made
 /// concrete through the Charm++ CentralLB shape): each round snapshots every
 /// node's dat_tree_* gauges into a ClusterLoad, runs the pure
-/// plan_rebalance() policy, then applies the plan through the ClusterPort —
+/// plan_rebalance() policy, then applies the plan to the harness::Fleet —
 /// identifier migrations as graceful leave + forced-id rejoin, branching
 /// overflow as child handoffs to a relay node.
 class Rebalancer {
@@ -48,7 +48,7 @@ class Rebalancer {
   /// `registry` receives the dat_lb_* counters/gauges; pass the campaign or
   /// cluster registry to surface them in dumps, or nullptr to keep them in
   /// an internal registry (still readable via metrics()).
-  Rebalancer(ClusterPort& port, std::vector<Id> keys,
+  Rebalancer(harness::Fleet& fleet, std::vector<Id> keys,
              RebalancerOptions options,
              obs::MetricsRegistry* registry = nullptr);
 
@@ -64,7 +64,7 @@ class Rebalancer {
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return *registry_; }
 
  private:
-  ClusterPort& port_;
+  harness::Fleet& fleet_;
   std::vector<Id> keys_;
   RebalancerOptions options_;
   obs::MetricsRegistry own_registry_;

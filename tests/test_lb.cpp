@@ -3,7 +3,6 @@
 
 #include "lb/load.hpp"
 #include "lb/policy.hpp"
-#include "lb/ports.hpp"
 #include "lb/rebalancer.hpp"
 
 #include <gtest/gtest.h>
@@ -356,10 +355,9 @@ TEST(RebalancerTest, RoundsConvergeOnARandomIdCluster) {
       });
   cluster.run_for(1'000'000);
 
-  lb::SimClusterPort port(cluster);
   lb::RebalancerOptions lb_options;
   lb_options.epoch_us = 200'000;
-  lb::Rebalancer rebalancer(port, {key}, lb_options);
+  lb::Rebalancer rebalancer(cluster, {key}, lb_options);
 
   for (int round = 0; round < 20; ++round) {
     const lb::RoundReport report = rebalancer.run_round();

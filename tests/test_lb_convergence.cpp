@@ -1,21 +1,18 @@
 // The headline rebalancing SLO: a cluster deployed with random identifiers
 // (unbalanced trees) under a seeded 90/10-skewed workload must re-converge
 // to max DAT branching <= 4 within 20 epochs of the rebalancer activating —
-// asserted on both the virtual-time SimCluster (through the rebalance-skew
-// chaos campaign) and the real-socket UdpCluster (driving the Rebalancer
-// directly).
+// asserted through the same rebalance-skew chaos campaign on both the
+// virtual-time SimCluster and the real-socket UdpCluster.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "chaos/campaign.hpp"
 #include "chaos/plan.hpp"
 #include "harness/sim_cluster.hpp"
 #include "harness/udp_cluster.hpp"
-#include "lb/ports.hpp"
-#include "lb/rebalancer.hpp"
 
 namespace {
 
@@ -91,59 +88,43 @@ TEST(RebalanceSkewCampaignTest, SameSeedProducesIdenticalEventLogs) {
 }
 
 TEST(RebalanceSkewCampaignTest, UdpClusterMeetsTheBranchingSlo) {
-  constexpr std::size_t kNodes = 10;
-  constexpr std::uint64_t kEpochUs = 200'000;
+  const chaos::ChaosPlan plan = chaos::ChaosPlan::rebalance_skew(7, 10);
 
-  harness::UdpClusterOptions options;
-  options.seed = 7;
-  options.dat.epoch_us = kEpochUs;
-  options.node.probing_join = false;  // deploy unbalanced on purpose
-  harness::UdpCluster cluster(kNodes, options);
-  ASSERT_TRUE(cluster.wait_converged());
+  harness::UdpClusterOptions cluster_options;
+  cluster_options.seed = plan.seed;
+  cluster_options.dat.epoch_us = 200'000;
+  cluster_options.node.probing_join = !plan.random_ids;
+  harness::UdpCluster cluster(plan.nodes, std::move(cluster_options));
 
-  // 90/10 skew: two hot trees pushing 10x faster than the two cold ones.
-  std::vector<Id> keys;
-  const auto local = [](std::size_t slot) -> core::DatNode::LocalValueFn {
-    return [slot] { return static_cast<double>(slot + 1); };
-  };
-  for (int i = 0; i < 2; ++i) {
-    keys.push_back(cluster.start_aggregate_everywhere(
-        "cpu#" + std::to_string(i), core::AggregateKind::kSum,
-        chord::RoutingScheme::kBalanced, local));
+  chaos::CampaignOptions options;
+  options.quiesce_us = 1'500'000;
+  options.rebalance.hot_aggregates = 2;
+  options.rebalance.slo_max_branching = 4;
+  options.rebalance.slo_max_epochs = 20;
+  chaos::Campaign campaign(cluster, plan, options);
+  const chaos::CampaignReport report = campaign.run();
+
+  for (const std::string& violation : report.violations) {
+    ADD_FAILURE() << "violation: " << violation;
   }
-  for (int i = 0; i < 2; ++i) {
-    keys.push_back(cluster.start_aggregate_everywhere(
-        "cpu-hot#" + std::to_string(i), core::AggregateKind::kSum,
-        chord::RoutingScheme::kBalanced, local, kEpochUs / 10));
-  }
-  cluster.run_for(4 * kEpochUs);  // let the trees form
+  ASSERT_EQ(report.phases.size(), 2u);
+  EXPECT_TRUE(report.phases[0].ok());
+  EXPECT_TRUE(report.phases[1].ok());
+  EXPECT_TRUE(report.phases[1].rebalance_ok);
+  EXPECT_LE(report.phases[1].lb_epochs, 20u);
+  EXPECT_LE(report.phases[1].lb_max_branching, 4u);
+}
 
-  lb::UdpClusterPort port(cluster);
-  lb::RebalancerOptions lb_options;
-  lb_options.epoch_us = kEpochUs;
-  lb::Rebalancer rebalancer(port, keys, lb_options);
-
-  std::size_t branching = ~std::size_t{0};
-  const auto measure = [&] {
-    std::size_t max_children = 0;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      if (!cluster.is_live(i)) continue;
-      for (const Id key : keys) {
-        max_children = std::max(max_children, cluster.dat(i).child_count(key));
-      }
-    }
-    return max_children;
-  };
-
-  for (unsigned epoch = 0; epoch < 20; ++epoch) {
-    rebalancer.run_round();
-    cluster.run_for(kEpochUs);
-    branching = measure();
-    if (branching <= 4) break;
-  }
-  EXPECT_LE(branching, 4u)
-      << "UDP cluster missed the branching SLO within 20 epochs";
-  EXPECT_FALSE(rebalancer.history().empty());
+TEST(RebalanceSkewCampaignTest, UdpClusterRejectsNetworkFaults) {
+  harness::UdpClusterOptions cluster_options;
+  cluster_options.seed = 8;
+  harness::UdpCluster cluster(2, std::move(cluster_options));
+  chaos::ChaosPlan plan;
+  plan.nodes = 2;
+  plan.partition(100'000, 1);
+  plan.verify(200'000);
+  EXPECT_THROW(chaos::Campaign(cluster, plan, chaos::CampaignOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace

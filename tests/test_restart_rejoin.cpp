@@ -194,7 +194,7 @@ TEST(UdpRestartRejoinTest, CrashedNodeRejoinsOverRealSockets) {
   options.node.rpc.timeout_us = 150'000;
   options.dat.epoch_us = 150'000;
   UdpCluster cluster(5, std::move(options));
-  ASSERT_TRUE(cluster.wait_converged());
+  ASSERT_TRUE(cluster.wait_converged(60'000'000));
 
   const Id key = cluster.start_aggregate_everywhere(
       "load", core::AggregateKind::kCount, chord::RoutingScheme::kBalanced,
@@ -226,21 +226,23 @@ TEST(UdpRestartRejoinTest, CrashedNodeRejoinsOverRealSockets) {
   };
   ASSERT_TRUE(coverage_reaches(5, 0));
 
-  cluster.crash(2);
+  cluster.remove_node(2, /*graceful=*/false);
   EXPECT_FALSE(cluster.is_live(2));
-  ASSERT_TRUE(cluster.wait_converged());
+  EXPECT_THROW((void)cluster.node(2), std::out_of_range);
+  EXPECT_THROW((void)cluster.dat(2), std::out_of_range);
+  ASSERT_TRUE(cluster.wait_converged(60'000'000));
   EXPECT_EQ(cluster.ring_view().size(), 4u);
   ASSERT_TRUE(coverage_reaches(4, 0));
 
-  ASSERT_TRUE(cluster.restart(2));
+  ASSERT_TRUE(cluster.restart_node(2));
   EXPECT_TRUE(cluster.is_live(2));
-  ASSERT_TRUE(cluster.wait_converged());
+  ASSERT_TRUE(cluster.wait_converged(60'000'000));
   EXPECT_EQ(cluster.ring_view().size(), 5u);
   // The rejoined node contributes again — probed from the rejoined node.
   ASSERT_TRUE(coverage_reaches(5, 2));
 
-  EXPECT_THROW(cluster.crash(99), std::logic_error);
-  EXPECT_THROW(cluster.restart(0), std::logic_error);
+  EXPECT_THROW(cluster.remove_node(99, /*graceful=*/false), std::logic_error);
+  EXPECT_THROW(cluster.restart_node(0), std::logic_error);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // dat_chaos: deterministic chaos campaigns against a simulated DAT cluster.
 //
 // Runs a scripted fault timeline (crash, graceful leave, restart/rejoin,
-// loss bursts, latency spikes, partition/heal) against a SimCluster and
-// verifies recovery after every quiescent window: structural invariants,
-// coverage re-convergence within a bounded number of epochs, and replica
-// query availability. Everything is seeded, so two runs with the same seed
-// produce bit-identical event logs — which the CI soak job asserts.
+// loss bursts, latency spikes, partition/heal, rebalance) through
+// chaos::Campaign against a SimCluster and verifies recovery after every
+// quiescent window: structural invariants, coverage re-convergence within a
+// bounded number of epochs, replica query availability, and the rebalance
+// and self-monitoring SLOs when the plan asks for them. The Campaign takes
+// any harness::Fleet; the test suite runs the rebalance-skew plan on a
+// UdpCluster through the same code. Everything is seeded, so two runs with
+// the same seed produce bit-identical event logs — which the CI soak job
+// asserts for the canonical, rebalance-skew and selfmon campaigns.
 //
 //   dat_chaos --nodes 16 --seed 7 --print-events
 //   dat_chaos --plan myplan.txt --replicas 3
 //   dat_chaos --campaign rebalance-skew --nodes 24 --seed 7
+//   dat_chaos --campaign selfmon --nodes 16 --seed 7
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +27,7 @@
 #include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "datd/signals.hpp"
+#include "harness/sim_cluster.hpp"
 #include "obs/export.hpp"
 
 namespace {

@@ -45,7 +45,6 @@
 #include "harness/live_tree.hpp"
 #include "harness/sim_cluster.hpp"
 #include "harness/udp_cluster.hpp"
-#include "lb/ports.hpp"
 #include "lb/rebalancer.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
@@ -268,6 +267,7 @@ int cmd_churn(CliFlags& flags) {
       while (victim < cluster.slot_count() && !cluster.is_live(victim)) {
         ++victim;
       }
+      if (victim >= cluster.slot_count()) break;  // nobody left to remove
       cluster.remove_node(victim++, e % 2 == 0);
       kind = e % 2 == 0 ? "leave" : "crash";
     }
@@ -309,8 +309,8 @@ int cmd_metrics(CliFlags& flags) {
   harness::UdpClusterOptions options;
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   harness::UdpCluster cluster(n, options);
-  cluster.inject_d0_hints();
-  if (!cluster.wait_converged()) {
+  cluster.refresh_d0_hints();
+  if (!cluster.wait_converged(60'000'000)) {
     std::fprintf(stderr, "overlay failed to converge\n");
     return 1;
   }
@@ -422,10 +422,9 @@ int cmd_rebalance(CliFlags& flags) {
   }
   cluster.run_for(4 * base_epoch_us);  // let the trees form
 
-  lb::SimClusterPort port(cluster);
   lb::RebalancerOptions lb_options;
   lb_options.epoch_us = base_epoch_us;
-  lb::Rebalancer rebalancer(port, keys, lb_options);
+  lb::Rebalancer rebalancer(cluster, keys, lb_options);
 
   std::printf("n=%zu assign=%s rounds=%zu\n", n,
               flags.get_string("assign").c_str(), rounds);
