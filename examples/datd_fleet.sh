@@ -5,7 +5,8 @@
 # seed, the rest joining through it with retry+backoff), inspects it with
 # datctl remote, drains one daemon with SIGTERM and checks it exits 0, then
 # tears the fleet down. This is the by-hand version of what dat_supervisor
-# automates at 64 nodes with a seeded kill plan.
+# automates at 64 nodes: a datd::ProcessFleet forks the daemons and
+# chaos::Campaign runs a seeded kill plan against them, judging each phase.
 #
 #   ./examples/datd_fleet.sh [build-dir] [nodes] [base-port]
 #

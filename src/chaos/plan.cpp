@@ -1,6 +1,8 @@
 #include "chaos/plan.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,121 +11,29 @@
 namespace dat::chaos {
 
 const char* to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kLeave:
-      return "leave";
-    case FaultKind::kRestart:
-      return "restart";
-    case FaultKind::kLossBurst:
-      return "loss";
-    case FaultKind::kLatencyBurst:
-      return "latency";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kHeal:
-      return "heal";
-    case FaultKind::kVerify:
-      return "verify";
-    case FaultKind::kRebalance:
-      return "rebalance";
-    case FaultKind::kSigkill:
-      return "sigkill";
-    case FaultKind::kSigterm:
-      return "sigterm";
-    case FaultKind::kSigabrt:
-      return "sigabrt";
-  }
-  return "?";
+  // Indexed by the enumerator values; these are also the plan-spec verbs.
+  static constexpr const char* kNames[] = {
+      "crash", "leave",  "restart",   "loss",    "latency", "partition",
+      "heal",  "verify", "rebalance", "sigkill", "sigterm", "sigabrt"};
+  const auto i = static_cast<std::size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
+
+bool FaultEvent::has_slot() const noexcept {
+  return kind != FaultKind::kLossBurst && kind != FaultKind::kLatencyBurst &&
+         kind != FaultKind::kVerify && kind != FaultKind::kRebalance;
 }
 
 std::string FaultEvent::describe() const {
   std::ostringstream oss;
   oss << "t=" << at_us / 1000 << "ms " << to_string(kind);
-  switch (kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kLeave:
-    case FaultKind::kRestart:
-    case FaultKind::kPartition:
-    case FaultKind::kHeal:
-    case FaultKind::kSigkill:
-    case FaultKind::kSigterm:
-    case FaultKind::kSigabrt:
-      oss << " slot=" << slot;
-      break;
-    case FaultKind::kLossBurst:
-    case FaultKind::kLatencyBurst:
-      oss << " x=" << magnitude << " for=" << duration_us / 1000 << "ms";
-      break;
-    case FaultKind::kVerify:
-    case FaultKind::kRebalance:
-      break;
+  if (has_slot()) {
+    oss << " slot=" << slot;
+  } else if (kind == FaultKind::kLossBurst ||
+             kind == FaultKind::kLatencyBurst) {
+    oss << " x=" << magnitude << " for=" << duration_us / 1000 << "ms";
   }
   return oss.str();
-}
-
-ChaosPlan& ChaosPlan::crash(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kCrash, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::leave(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kLeave, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::restart(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kRestart, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::loss_burst(std::uint64_t at_us, double rate,
-                                 std::uint64_t duration_us) {
-  events.push_back({at_us, FaultKind::kLossBurst, 0, rate, duration_us});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::latency_burst(std::uint64_t at_us, double multiplier,
-                                    std::uint64_t duration_us) {
-  events.push_back(
-      {at_us, FaultKind::kLatencyBurst, 0, multiplier, duration_us});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::partition(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kPartition, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::heal(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kHeal, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::verify(std::uint64_t at_us) {
-  events.push_back({at_us, FaultKind::kVerify, 0, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::rebalance(std::uint64_t at_us) {
-  events.push_back({at_us, FaultKind::kRebalance, 0, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::sigkill(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kSigkill, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::sigterm(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kSigterm, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::sigabrt(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kSigabrt, slot, 0.0, 0});
-  return *this;
 }
 
 void ChaosPlan::sort_events() {
@@ -151,24 +61,11 @@ std::string ChaosPlan::to_spec() const {
   if (process_mode) oss << "mode process\n";
   for (const FaultEvent& e : events) {
     oss << e.at_us / 1000 << " " << to_string(e.kind);
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-      case FaultKind::kRestart:
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kSigkill:
-      case FaultKind::kSigterm:
-      case FaultKind::kSigabrt:
-        oss << " " << e.slot;
-        break;
-      case FaultKind::kLossBurst:
-      case FaultKind::kLatencyBurst:
-        oss << " " << e.magnitude << " " << e.duration_us / 1000;
-        break;
-      case FaultKind::kVerify:
-      case FaultKind::kRebalance:
-        break;
+    if (e.has_slot()) {
+      oss << " " << e.slot;
+    } else if (e.kind == FaultKind::kLossBurst ||
+               e.kind == FaultKind::kLatencyBurst) {
+      oss << " " << e.magnitude << " " << e.duration_us / 1000;
     }
     oss << "\n";
   }
@@ -186,13 +83,9 @@ namespace {
 
 ChaosPlan ChaosPlan::parse(std::string_view spec) {
   ChaosPlan plan;
-  plan.events.clear();
   std::istringstream input{std::string(spec)};
   std::string line;
-  bool seen_seed = false;
-  bool seen_nodes = false;
-  bool seen_assign = false;
-  bool seen_mode = false;
+  std::set<std::string> headers;
   while (std::getline(input, line)) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
@@ -200,37 +93,29 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
 
     std::string head;
     fields >> head;
-    if (head == "seed") {
-      if (seen_seed) bad_line(line, "duplicate seed");
-      seen_seed = true;
-      if (!(fields >> plan.seed)) bad_line(line, "bad seed");
-      continue;
-    }
-    if (head == "nodes") {
-      if (seen_nodes) bad_line(line, "duplicate nodes");
-      seen_nodes = true;
-      if (!(fields >> plan.nodes)) bad_line(line, "bad node count");
-      if (plan.nodes == 0) bad_line(line, "node count must be positive");
-      continue;
-    }
-    if (head == "assign") {
-      if (seen_assign) bad_line(line, "duplicate assign");
-      seen_assign = true;
-      std::string mode;
-      if (!(fields >> mode)) bad_line(line, "missing assignment mode");
-      if (mode == "random") plan.random_ids = true;
-      else if (mode == "probed") plan.random_ids = false;
-      else bad_line(line, "unknown assignment mode");
-      continue;
-    }
-    if (head == "mode") {
-      if (seen_mode) bad_line(line, "duplicate mode");
-      seen_mode = true;
-      std::string mode;
-      if (!(fields >> mode)) bad_line(line, "missing mode");
-      if (mode == "process") plan.process_mode = true;
-      else if (mode == "sim") plan.process_mode = false;
-      else bad_line(line, "unknown mode");
+    if (head == "seed" || head == "nodes" || head == "assign" ||
+        head == "mode") {
+      if (!headers.insert(head).second) {
+        bad_line(line, ("duplicate " + head).c_str());
+      }
+      std::string value;
+      if (!(fields >> value)) bad_line(line, "missing value");
+      if (head == "assign" || head == "mode") {
+        // Two spellings each: assign random|probed, mode process|sim.
+        const bool assign = head == "assign";
+        const std::string on = assign ? "random" : "process";
+        if (value != on && value != (assign ? "probed" : "sim")) {
+          bad_line(line, ("unknown " + head).c_str());
+        }
+        (assign ? plan.random_ids : plan.process_mode) = value == on;
+      } else {
+        std::istringstream number(value);
+        std::uint64_t n = 0;
+        if (!(number >> n) || (head == "nodes" && n == 0)) {
+          bad_line(line, ("bad " + head).c_str());
+        }
+        if (head == "seed") plan.seed = n; else plan.nodes = n;
+      }
       continue;
     }
 
@@ -244,59 +129,33 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
 
     std::string verb;
     if (!(fields >> verb)) bad_line(line, "missing event verb");
-    if (verb == "crash" || verb == "leave" || verb == "restart" ||
-        verb == "partition" || verb == "heal" || verb == "sigkill" ||
-        verb == "sigterm" || verb == "sigabrt") {
-      std::size_t slot = 0;
-      if (!(fields >> slot)) bad_line(line, "missing slot");
-      if (verb == "crash") plan.crash(at_us, slot);
-      else if (verb == "leave") plan.leave(at_us, slot);
-      else if (verb == "restart") plan.restart(at_us, slot);
-      else if (verb == "partition") plan.partition(at_us, slot);
-      else if (verb == "sigkill") plan.sigkill(at_us, slot);
-      else if (verb == "sigterm") plan.sigterm(at_us, slot);
-      else if (verb == "sigabrt") plan.sigabrt(at_us, slot);
-      else plan.heal(at_us, slot);
-    } else if (verb == "loss" || verb == "latency") {
-      double magnitude = 0.0;
+    // Event verbs are the FaultKind names.
+    FaultEvent event{at_us, FaultKind::kCrash};
+    while (verb != to_string(event.kind)) {
+      if (event.kind == FaultKind::kSigabrt) bad_line(line, "unknown verb");
+      event.kind = static_cast<FaultKind>(static_cast<int>(event.kind) + 1);
+    }
+    if (event.has_slot() && !(fields >> event.slot)) {
+      bad_line(line, "missing slot");
+    }
+    if (event.kind == FaultKind::kLossBurst ||
+        event.kind == FaultKind::kLatencyBurst) {
       std::uint64_t duration_ms = 0;
-      if (!(fields >> magnitude >> duration_ms)) {
+      if (!(fields >> event.magnitude >> duration_ms)) {
         bad_line(line, "expected <magnitude> <duration_ms>");
       }
-      if (verb == "loss") plan.loss_burst(at_us, magnitude, duration_ms * 1000);
-      else plan.latency_burst(at_us, magnitude, duration_ms * 1000);
-    } else if (verb == "verify") {
-      plan.verify(at_us);
-    } else if (verb == "rebalance") {
-      plan.rebalance(at_us);
-    } else {
-      bad_line(line, "unknown event verb");
+      event.duration_us = duration_ms * 1000;
     }
+    plan.add(event);
   }
   // Victim slots can only be range-checked once the node count is final
   // (the `nodes` line may legally follow the events it governs).
   for (const FaultEvent& e : plan.events) {
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-      case FaultKind::kRestart:
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kSigkill:
-      case FaultKind::kSigterm:
-      case FaultKind::kSigabrt:
-        if (e.slot >= plan.nodes) {
-          throw std::invalid_argument(
-              "ChaosPlan::parse: slot " + std::to_string(e.slot) +
-              " out of range for " + std::to_string(plan.nodes) +
-              " nodes in event: \"" + e.describe() + "\"");
-        }
-        break;
-      case FaultKind::kLossBurst:
-      case FaultKind::kLatencyBurst:
-      case FaultKind::kVerify:
-      case FaultKind::kRebalance:
-        break;
+    if (e.has_slot() && e.slot >= plan.nodes) {
+      throw std::invalid_argument(
+          "ChaosPlan::parse: slot " + std::to_string(e.slot) +
+          " out of range for " + std::to_string(plan.nodes) +
+          " nodes in event: \"" + e.describe() + "\"");
     }
   }
   plan.sort_events();
@@ -349,13 +208,14 @@ ChaosPlan ChaosPlan::canonical(std::uint64_t seed, std::size_t nodes) {
   return plan;
 }
 
-ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
-  if (nodes < 8) {
-    throw std::invalid_argument("ChaosPlan::process_canonical: need >= 8 nodes");
-  }
-  Rng rng(seed * 104729 + 31);
-  // Fisher-Yates over [1, nodes): slot 0 is the bootstrap seed every
-  // restarted daemon rejoins through, so it is never a victim.
+namespace {
+
+/// Victim draw for the kill-wave plans: a Fisher-Yates shuffle of
+/// [1, nodes) from Rng(rng_seed). Slot 0 (the probe and bootstrap node) is
+/// never a victim.
+std::vector<std::size_t> shuffled_victims(std::uint64_t rng_seed,
+                                          std::size_t nodes) {
+  Rng rng(rng_seed);
   std::vector<std::size_t> victims(nodes - 1);
   for (std::size_t i = 0; i < victims.size(); ++i) victims[i] = i + 1;
   for (std::size_t i = victims.size(); i > 1; --i) {
@@ -363,6 +223,18 @@ ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
               victims[static_cast<std::size_t>(
                   rng.next_below(static_cast<std::uint64_t>(i)))]);
   }
+  return victims;
+}
+
+}  // namespace
+
+ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
+  if (nodes < 8) {
+    throw std::invalid_argument("ChaosPlan::process_canonical: need >= 8 nodes");
+  }
+  // Slot 0 is the bootstrap seed every restarted daemon rejoins through.
+  const std::vector<std::size_t> victims =
+      shuffled_victims(seed * 104729 + 31, nodes);
   const std::size_t kills = std::max<std::size_t>(1, nodes / 4);   // 25%
   const std::size_t terms = std::max<std::size_t>(1, nodes / 10);  // 10%
   const std::size_t restarts = std::max<std::size_t>(1, kills / 2);
@@ -384,7 +256,7 @@ ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
   }
   plan.verify(28'000'000);
   // Phase 4: SIGTERM wave over 10% — graceful drains whose aggregate
-  // conservation the supervisor checks per victim.
+  // conservation the campaign checks per victim.
   for (std::size_t i = 0; i < terms; ++i) {
     plan.sigterm(29'000'000 + i * (2'000'000 / terms), victims[kills + i]);
   }
@@ -392,30 +264,12 @@ ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
   return plan;
 }
 
-namespace {
-
-/// Shared victim draw for the selfmon campaigns: a Fisher-Yates shuffle of
-/// [1, nodes) (slot 0 is the probe/bootstrap node), pure in (seed, nodes).
-std::vector<std::size_t> selfmon_victims(std::uint64_t seed,
-                                         std::size_t nodes) {
-  Rng rng(seed * 52361 + 7);
-  std::vector<std::size_t> victims(nodes - 1);
-  for (std::size_t i = 0; i < victims.size(); ++i) victims[i] = i + 1;
-  for (std::size_t i = victims.size(); i > 1; --i) {
-    std::swap(victims[i - 1],
-              victims[static_cast<std::size_t>(
-                  rng.next_below(static_cast<std::uint64_t>(i)))]);
-  }
-  return victims;
-}
-
-}  // namespace
-
 ChaosPlan ChaosPlan::selfmon(std::uint64_t seed, std::size_t nodes) {
   if (nodes < 4) {
     throw std::invalid_argument("ChaosPlan::selfmon: need >= 4 nodes");
   }
-  const std::vector<std::size_t> victims = selfmon_victims(seed, nodes);
+  const std::vector<std::size_t> victims =
+      shuffled_victims(seed * 52361 + 7, nodes);
   const std::size_t kills = std::max<std::size_t>(1, nodes / 4);  // 25%
 
   ChaosPlan plan;
@@ -440,7 +294,8 @@ ChaosPlan ChaosPlan::process_selfmon(std::uint64_t seed, std::size_t nodes) {
   if (nodes < 8) {
     throw std::invalid_argument("ChaosPlan::process_selfmon: need >= 8 nodes");
   }
-  const std::vector<std::size_t> victims = selfmon_victims(seed, nodes);
+  const std::vector<std::size_t> victims =
+      shuffled_victims(seed * 52361 + 7, nodes);
   const std::size_t kills = std::max<std::size_t>(1, nodes / 4);  // 25%
 
   ChaosPlan plan;
@@ -450,7 +305,7 @@ ChaosPlan ChaosPlan::process_selfmon(std::uint64_t seed, std::size_t nodes) {
   // Phase 1: baseline.
   plan.verify(4'000'000);
   // Phase 2: kill wave. The first victim aborts — its crash handler writes
-  // a postmortem dump the supervisor archives — and the rest are SIGKILLed.
+  // a postmortem dump the process fleet archives — and the rest are SIGKILLed.
   plan.sigabrt(5'000'000, victims[0]);
   for (std::size_t i = 1; i < kills; ++i) {
     plan.sigkill(5'000'000 + i * (2'000'000 / kills), victims[i]);

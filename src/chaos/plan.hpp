@@ -21,7 +21,7 @@ enum class FaultKind : std::uint8_t {
   kSigkill = 9,      ///< SIGKILL a daemon process (abrupt, like kCrash)
   kSigterm = 10,     ///< SIGTERM a daemon: graceful drain, then clean leave
   kSigabrt = 11,     ///< SIGABRT a daemon: crash that leaves a postmortem
-                     ///< dump for the supervisor to archive (sim: crash)
+                     ///< dump for the process fleet to archive (sim: crash)
 };
 
 [[nodiscard]] const char* to_string(FaultKind k) noexcept;
@@ -39,6 +39,8 @@ struct FaultEvent {
   /// Stable one-line rendering, e.g. "t=1200ms crash slot=3"; used for the
   /// deterministic event log that same-seed runs must reproduce bit-exact.
   [[nodiscard]] std::string describe() const;
+  /// The kind names a victim slot: all but bursts, verify and rebalance.
+  [[nodiscard]] bool has_slot() const noexcept;
 };
 
 /// A seeded, scripted timeline of fault events executed against a cluster
@@ -52,29 +54,56 @@ struct ChaosPlan {
   /// the unbalanced trees (max branching 7+ at n >= 16, Fig. 7a) that the
   /// rebalance event is then expected to repair.
   bool random_ids = false;
-  /// Deployment directive: the plan targets real OS processes (one datd per
-  /// slot, driven by the process supervisor) instead of an in-process sim
-  /// cluster. Spelled `mode process` in the spec; sim campaigns still
-  /// accept sigkill/sigterm events by mapping them to crash/drain+leave.
+  /// Deployment directive, spelled `mode process`: the plan targets one
+  /// datd process per slot (datd::ProcessFleet). In-process campaigns map
+  /// sigkill/sigabrt to a crash and sigterm to drain + leave.
   bool process_mode = false;
   std::vector<FaultEvent> events;
 
   // Builder-style helpers; times are virtual microseconds from campaign
   // start. Each returns *this for chaining.
-  ChaosPlan& crash(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& leave(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& restart(std::uint64_t at_us, std::size_t slot);
+  ChaosPlan& add(FaultEvent event) {
+    events.push_back(event);
+    return *this;
+  }
+  ChaosPlan& crash(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kCrash, slot});
+  }
+  ChaosPlan& leave(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kLeave, slot});
+  }
+  ChaosPlan& restart(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kRestart, slot});
+  }
   ChaosPlan& loss_burst(std::uint64_t at_us, double rate,
-                        std::uint64_t duration_us);
+                        std::uint64_t duration_us) {
+    return add({at_us, FaultKind::kLossBurst, 0, rate, duration_us});
+  }
   ChaosPlan& latency_burst(std::uint64_t at_us, double multiplier,
-                           std::uint64_t duration_us);
-  ChaosPlan& partition(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& heal(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& verify(std::uint64_t at_us);
-  ChaosPlan& rebalance(std::uint64_t at_us);
-  ChaosPlan& sigkill(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& sigterm(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& sigabrt(std::uint64_t at_us, std::size_t slot);
+                           std::uint64_t duration_us) {
+    return add({at_us, FaultKind::kLatencyBurst, 0, multiplier, duration_us});
+  }
+  ChaosPlan& partition(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kPartition, slot});
+  }
+  ChaosPlan& heal(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kHeal, slot});
+  }
+  ChaosPlan& verify(std::uint64_t at_us) {
+    return add({at_us, FaultKind::kVerify});
+  }
+  ChaosPlan& rebalance(std::uint64_t at_us) {
+    return add({at_us, FaultKind::kRebalance});
+  }
+  ChaosPlan& sigkill(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kSigkill, slot});
+  }
+  ChaosPlan& sigterm(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kSigterm, slot});
+  }
+  ChaosPlan& sigabrt(std::uint64_t at_us, std::size_t slot) {
+    return add({at_us, FaultKind::kSigabrt, slot});
+  }
 
   /// Orders events by at_us (stable: simultaneous events keep the order
   /// they were added in). Campaign calls this before executing.
@@ -151,7 +180,7 @@ struct ChaosPlan {
 
   /// The self-monitoring SLO campaign against real datd processes: same
   /// fire-then-clear shape as selfmon(), except the first victim dies by
-  /// SIGABRT — exercising the crash-postmortem path the supervisor
+  /// SIGABRT — exercising the crash-postmortem path the process fleet
   /// archives — and the rest by SIGKILL.
   [[nodiscard]] static ChaosPlan process_selfmon(std::uint64_t seed,
                                                  std::size_t nodes);

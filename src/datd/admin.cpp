@@ -12,22 +12,7 @@ AdminClient::AdminClient(std::uint64_t timeout_us)
 
 AdminClient::~AdminClient() = default;
 
-bool AdminClient::pump_until(const bool& done) {
-  // Margin past the RPC budget so the manager can deliver its own kTimeout
-  // instead of us abandoning a still-pending handler.
-  return network_.run_while([&done] { return !done; }, timeout_us_ * 2);
-}
-
 namespace {
-
-/// Completion latch shared with the RPC handler: if the pump gives up
-/// before the manager resolves the call, the handler must not write into a
-/// dead stack frame — it owns the state instead.
-template <typename T>
-struct CallState {
-  bool done = false;
-  std::optional<T> result;
-};
 
 net::RpcOptions admin_budget(std::uint64_t timeout_us) {
   return net::RpcOptions::adaptive(timeout_us / 4 + 1, 3);
@@ -35,17 +20,35 @@ net::RpcOptions admin_budget(std::uint64_t timeout_us) {
 
 }  // namespace
 
-std::optional<StatusInfo> AdminClient::status(net::Endpoint target) {
-  auto state = std::make_shared<CallState<StatusInfo>>();
+template <typename T, typename Decode>
+std::optional<T> AdminClient::call(net::Endpoint target, const char* method,
+                                   const net::Writer& request, Decode decode) {
+  // Completion latch shared with the RPC handler: if the pump gives up
+  // before the manager resolves the call, the handler must not write into a
+  // dead stack frame — it owns the state instead.
+  struct State {
+    bool done = false;
+    std::optional<T> result;
+  };
+  auto state = std::make_shared<State>();
   rpc_->call(
-      target, "datd.status", net::Writer{},
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk) state->result = StatusInfo::decode(r);
+      target, method, request,
+      [state, decode](net::RpcStatus st, net::Reader& r) {
+        if (st == net::RpcStatus::kOk) state->result = decode(r);
         state->done = true;
       },
       admin_budget(timeout_us_));
-  pump_until(state->done);
+  // Margin past the RPC budget so the manager can deliver its own kTimeout
+  // instead of us abandoning a still-pending handler.
+  network_.run_while([&state] { return !state->done; }, timeout_us_ * 2);
   return state->result;
+}
+
+std::optional<StatusInfo> AdminClient::status(net::Endpoint target) {
+  return call<StatusInfo>(target, "datd.status", net::Writer{},
+                          [](net::Reader& r) -> std::optional<StatusInfo> {
+                            return StatusInfo::decode(r);
+                          });
 }
 
 namespace {
@@ -69,23 +72,16 @@ std::optional<std::string> AdminClient::metrics(net::Endpoint target,
     req.u8(format == obs::ExportFormat::kJson ? 0 : 1);
     req.u32(seq);
     req.u64(gen);
-    auto state = std::make_shared<CallState<MetricsChunk>>();
-    rpc_->call(
+    return call<MetricsChunk>(
         target, "datd.metrics", req,
-        [state](net::RpcStatus st, net::Reader& r) {
-          if (st == net::RpcStatus::kOk) {
-            MetricsChunk chunk;
-            chunk.gen = r.u64();
-            chunk.total = r.u32();
-            chunk.seq = r.u32();
-            chunk.data = r.str();
-            state->result = std::move(chunk);
-          }
-          state->done = true;
-        },
-        admin_budget(timeout_us_));
-    pump_until(state->done);
-    return state->result;
+        [](net::Reader& r) -> std::optional<MetricsChunk> {
+          MetricsChunk chunk;
+          chunk.gen = r.u64();
+          chunk.total = r.u32();
+          chunk.seq = r.u32();
+          chunk.data = r.str();
+          return chunk;
+        });
   };
   // total == 0 means our generation was evicted by a concurrent scraper;
   // restart from seq 0 a bounded number of times rather than loop forever
@@ -113,82 +109,52 @@ std::optional<std::string> AdminClient::metrics(net::Endpoint target,
 
 std::optional<std::vector<obs::Alert>> AdminClient::alerts(
     net::Endpoint target) {
-  auto state = std::make_shared<CallState<std::vector<obs::Alert>>>();
-  rpc_->call(
+  return call<std::vector<obs::Alert>>(
       target, "datd.alerts", net::Writer{},
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk && r.boolean()) {
-          state->result = obs::read_alerts(r);
-        }
-        state->done = true;
-      },
-      admin_budget(timeout_us_));
-  pump_until(state->done);
-  return state->result;
+      [](net::Reader& r) -> std::optional<std::vector<obs::Alert>> {
+        if (!r.boolean()) return std::nullopt;
+        return obs::read_alerts(r);
+      });
 }
 
 std::optional<obs::SelfMonitor::FleetView> AdminClient::fleet(
     net::Endpoint target) {
-  auto state = std::make_shared<CallState<obs::SelfMonitor::FleetView>>();
-  rpc_->call(
+  return call<obs::SelfMonitor::FleetView>(
       target, "datd.fleet", net::Writer{},
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk && r.boolean()) {
-          state->result = obs::read_fleet_view(r);
-        }
-        state->done = true;
-      },
-      admin_budget(timeout_us_));
-  pump_until(state->done);
-  return state->result;
+      [](net::Reader& r) -> std::optional<obs::SelfMonitor::FleetView> {
+        if (!r.boolean()) return std::nullopt;
+        return obs::read_fleet_view(r);
+      });
 }
 
 bool AdminClient::leave(net::Endpoint target) {
-  auto state = std::make_shared<CallState<bool>>();
-  rpc_->call(
-      target, "datd.leave", net::Writer{},
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk) state->result = r.boolean();
-        state->done = true;
-      },
-      admin_budget(timeout_us_));
-  pump_until(state->done);
-  return state->result.value_or(false);
+  return call<bool>(target, "datd.leave", net::Writer{},
+                    [](net::Reader& r) -> std::optional<bool> {
+                      return r.boolean();
+                    })
+      .value_or(false);
 }
 
 std::optional<std::uint64_t> AdminClient::rebalance(net::Endpoint target) {
-  auto state = std::make_shared<CallState<std::uint64_t>>();
-  rpc_->call(
+  return call<std::uint64_t>(
       target, "datd.rebalance", net::Writer{},
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk) state->result = r.u64();
-        state->done = true;
-      },
-      admin_budget(timeout_us_));
-  pump_until(state->done);
-  return state->result;
+      [](net::Reader& r) -> std::optional<std::uint64_t> { return r.u64(); });
 }
 
 std::optional<core::GlobalValue> AdminClient::global_at(net::Endpoint target,
                                                         Id key) {
   net::Writer req;
   req.u64(key);
-  auto state = std::make_shared<CallState<core::GlobalValue>>();
-  rpc_->call(
+  return call<core::GlobalValue>(
       target, "dat.get_global", req,
-      [state](net::RpcStatus st, net::Reader& r) {
-        if (st == net::RpcStatus::kOk && r.boolean()) {
-          core::GlobalValue g;
-          g.state = core::read_agg_state(r);
-          g.epoch = r.u64();
-          g.updated_at_us = r.u64();
-          state->result = g;
-        }
-        state->done = true;
-      },
-      admin_budget(timeout_us_));
-  pump_until(state->done);
-  return state->result;
+      [](net::Reader& r) -> std::optional<core::GlobalValue> {
+        if (!r.boolean()) return std::nullopt;
+        core::GlobalValue g;
+        g.state = core::read_agg_state(r);
+        g.epoch = r.u64();
+        g.updated_at_us = r.u64();
+        return g;
+      });
 }
 
 }  // namespace dat::datd

@@ -16,7 +16,7 @@
 namespace dat::datd {
 
 /// Synchronous RPC client for the datd admin surface, used by datctl's
-/// remote subcommands and the chaos supervisor's SLO scraper. Owns a netio
+/// remote subcommands and datd::ProcessFleet's fleet reads. Owns a netio
 /// network with one OS-assigned socket and no metrics; every call pumps
 /// that loop until the reply arrives or the deadline passes, so callers get
 /// plain optionals instead of callbacks.
@@ -60,8 +60,12 @@ class AdminClient {
                                                            Id key);
 
  private:
-  /// Pumps until `done`; true if the call completed (any status) in time.
-  bool pump_until(const bool& done);
+  /// Sends `method` and pumps until the reply or the deadline; an OK reply
+  /// goes through `decode`, which yields nullopt for a well-formed "not
+  /// available" answer.
+  template <typename T, typename Decode>
+  std::optional<T> call(net::Endpoint target, const char* method,
+                        const net::Writer& request, Decode decode);
 
   std::uint64_t timeout_us_;
   netio::NetioNetwork network_;

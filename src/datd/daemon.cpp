@@ -192,7 +192,7 @@ StatusInfo Daemon::status() const {
   info.self = node_->self();
   info.predecessor = node_->predecessor();
   info.successors = node_->successor_list();
-  // Only the payload replica trees: the supervisor's conservation SLO
+  // Only the payload replica trees: the process campaign's exact rule
   // (count == fleet, sum == Σ slot values) holds for these, not for the
   // self-monitoring meta-trees that also live in the DAT table.
   info.aggregate_keys = aggregate_ ? aggregate_->keys()

@@ -23,7 +23,7 @@ namespace dat::obs {
 ///                                   distinct label sets during rolling
 ///                                   restarts)
 ///
-/// The chaos supervisor scrapes these to tell a restarted daemon from the
+/// Process chaos campaigns read these to tell a restarted daemon from the
 /// incarnation it replaced, and the health snapshot reports uptime from the
 /// same clock. Unregisters itself on destruction.
 class ProcessRuntime {

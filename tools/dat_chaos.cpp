@@ -5,11 +5,13 @@
 // chaos::Campaign against a SimCluster and verifies recovery after every
 // quiescent window: structural invariants, coverage re-convergence within a
 // bounded number of epochs, replica query availability, and the rebalance
-// and self-monitoring SLOs when the plan asks for them. The Campaign takes
-// any harness::Fleet; the test suite runs the rebalance-skew plan on a
-// UdpCluster through the same code. Everything is seeded, so two runs with
-// the same seed produce bit-identical event logs — which the CI soak job
-// asserts for the canonical, rebalance-skew and selfmon campaigns.
+// and self-monitoring SLOs when the plan asks for them. Campaign is the one
+// chaos runner: the test suite runs the rebalance-skew plan on a UdpCluster
+// through it, and dat_supervisor runs process plans through it on forked
+// datd daemons, printing the same phase table. Everything here is seeded,
+// so two runs with the same seed produce bit-identical event logs — which
+// the CI soak job asserts for the canonical, rebalance-skew and selfmon
+// campaigns.
 //
 //   dat_chaos --nodes 16 --seed 7 --print-events
 //   dat_chaos --plan myplan.txt --replicas 3
@@ -129,57 +131,7 @@ int run_campaign(const dat::CliFlags& flags) {
     }
   }
 
-  std::printf("\n%-6s %-8s %-6s %-9s %-9s %-7s %-6s %-9s %-7s %s\n", "phase",
-              "t(ms)", "live", "expected", "coverage", "epochs", "roots",
-              "lb", "alert", "result");
-  for (const chaos::PhaseReport& p : report.phases) {
-    char lb[32] = "-";
-    if (p.rebalance_checked) {
-      std::snprintf(lb, sizeof(lb), "%u/%zu", p.lb_epochs,
-                    p.lb_max_branching);
-    }
-    const char* alert =
-        p.selfmon_checked ? (p.selfmon_firing ? "firing" : "clear") : "-";
-    std::printf("%-6zu %-8llu %-6zu %-9zu %-9zu %-7u %-6u %-9s %-7s %s\n",
-                p.phase, static_cast<unsigned long long>(p.at_us / 1000),
-                p.live, p.expected_coverage, p.observed_coverage,
-                p.epochs_to_recover, p.roots_answered, lb, alert,
-                p.ok() ? "OK" : "FAIL");
-  }
-
-  const chaos::Campaign::LbSummary& lb = campaign.lb_summary();
-  if (lb.ran) {
-    std::printf("\nrebalancer: %s in %u epochs, branching %zu -> %zu, "
-                "%zu migrations, %zu sheds\n",
-                lb.converged ? "converged" : "did NOT converge", lb.epochs,
-                lb.initial_max_branching, lb.final_max_branching,
-                lb.migrations, lb.sheds);
-  }
-
-  if (!report.phases.empty()) {
-    const dat::net::RpcStats& rpc = report.phases.back().rpc;
-    std::printf("\nrpc totals (live nodes): calls=%llu attempts=%llu "
-                "retransmits=%llu timeouts=%llu backoff=%llums\n",
-                static_cast<unsigned long long>(rpc.calls),
-                static_cast<unsigned long long>(rpc.attempts),
-                static_cast<unsigned long long>(rpc.retransmits),
-                static_cast<unsigned long long>(rpc.timeouts),
-                static_cast<unsigned long long>(rpc.backoff_wait_us / 1000));
-  }
-
-  for (const std::string& violation : report.violations) {
-    std::fprintf(stderr, "violation: %s\n", violation.c_str());
-  }
-  std::size_t phases_ok = 0;
-  for (const auto& p : report.phases) {
-    if (p.ok()) ++phases_ok;
-  }
-  std::printf("\ncampaign %s: %zu/%zu phases ok\n",
-              report.interrupted ? "INTERRUPTED"
-                                 : (report.ok() ? "PASSED" : "FAILED"),
-              phases_ok, report.phases.size());
-  if (report.interrupted) return 130;
-  return report.ok() ? 0 : 1;
+  return chaos::print_report(report, campaign.lb_summary(), stdout, stderr);
 }
 
 }  // namespace
