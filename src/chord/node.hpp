@@ -213,7 +213,6 @@ class Node {
   /// predecessor so routing immediately stops selecting it (it may be
   /// re-learned if it was merely slow).
   void purge_endpoint(net::Endpoint ep);
-  void adopt_successor(const NodeRef& node);
   void promote_next_successor();
 
   // RPC server handlers

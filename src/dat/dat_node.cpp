@@ -941,9 +941,4 @@ std::size_t DatNode::child_count(Id key) const {
   return it == table_.end() ? 0 : it->second.children.size();
 }
 
-std::uint64_t DatNode::epoch_period(Id key) const {
-  const auto it = table_.find(key & chord_.space().mask());
-  return it == table_.end() ? options_.epoch_us : period_of(it->second);
-}
-
 }  // namespace dat::core

@@ -198,8 +198,6 @@ class DatNode {
   [[nodiscard]] std::uint64_t updates_sent(Id key) const;
   /// Number of distinct live children currently known for `key`.
   [[nodiscard]] std::size_t child_count(Id key) const;
-  /// Effective push period of `key`: its override, or the global default.
-  [[nodiscard]] std::uint64_t epoch_period(Id key) const;
 
   [[nodiscard]] chord::Node& chord() noexcept { return chord_; }
   [[nodiscard]] const DatOptions& options() const noexcept { return options_; }

@@ -46,12 +46,6 @@ class UdpCluster final : public Fleet {
     return network_.now_us();
   }
 
-  /// Registry for infrastructure shared by all nodes (the netio reactor's
-  /// I/O counters and coalescer histogram land here).
-  [[nodiscard]] obs::MetricsRegistry& cluster_metrics() noexcept {
-    return cluster_metrics_;
-  }
-
   /// Fleet::telemetry_snapshot() plus the shared infrastructure registry
   /// (node="cluster").
   [[nodiscard]] obs::MetricsSnapshot telemetry_snapshot() const override;

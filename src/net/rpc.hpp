@@ -50,16 +50,6 @@ struct RpcOptions {
     return o;
   }
 
-  /// A copy with an explicit budget — named derivation for call sites that
-  /// must not inherit the caller's global default.
-  [[nodiscard]] RpcOptions with_budget(std::uint64_t new_timeout_us,
-                                       unsigned new_attempts) const {
-    RpcOptions o = *this;
-    o.timeout_us = new_timeout_us;
-    o.attempts = new_attempts;
-    return o;
-  }
-
   /// A copy without backoff or timeout growth — the right budget for
   /// periodic maintenance RPCs, whose own timer is the retry mechanism.
   [[nodiscard]] RpcOptions fixed(unsigned new_attempts) const {

@@ -48,9 +48,6 @@ class SimNetwork {
 
   /// Marks a node unreachable (network partition) without destroying it.
   void set_partitioned(Endpoint ep, bool partitioned);
-  [[nodiscard]] bool is_partitioned(Endpoint ep) const {
-    return partitioned_.contains(ep);
-  }
 
   [[nodiscard]] bool exists(Endpoint ep) const {
     return nodes_.contains(ep);

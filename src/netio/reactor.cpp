@@ -799,6 +799,4 @@ ReactorCounters Reactor::counters() const {
   return c;
 }
 
-std::size_t Reactor::socket_count() const { return sockets_.size(); }
-
 }  // namespace dat::netio

@@ -192,7 +192,6 @@ class Reactor {
   [[nodiscard]] const ReactorOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] std::size_t socket_count() const;
 
  private:
   friend class NetioTransport;

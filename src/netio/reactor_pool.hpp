@@ -38,9 +38,6 @@ class ReactorPool {
   void start();
   void stop();
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
   [[nodiscard]] Reactor& shard(std::size_t index) { return *shards_[index]; }
   /// Shard hosting `ep`; returns nullptr for unknown endpoints.
   [[nodiscard]] Reactor* shard_of(net::Endpoint ep);
