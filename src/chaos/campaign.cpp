@@ -10,7 +10,6 @@
 
 #include "common/logging.hpp"
 #include "harness/sim_cluster.hpp"
-#include "lb/drain.hpp"
 #include "lb/rebalancer.hpp"
 
 namespace dat::chaos {
@@ -142,7 +141,8 @@ class FleetTarget final : public Target {
     // datd does on one: re-parent every subtree upstream and retract its
     // records, then leave the ring cleanly.
     if (event.kind == FaultKind::kSigterm) {
-      const auto drained = lb::drain_node(fleet_.dat(event.slot), policy_);
+      const auto drained =
+          fleet_.dat(event.slot).drain(policy_.handoff_ttl_us);
       journal.note(at + "drain slot=" + slot + " keys=" +
                    std::to_string(drained.keys) + " moved=" +
                    std::to_string(drained.children_moved) + " retracts=" +

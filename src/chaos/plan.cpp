@@ -55,10 +55,9 @@ std::string ChaosPlan::to_spec() const {
   std::ostringstream oss;
   oss << "seed " << seed << "\n";
   oss << "nodes " << nodes << "\n";
-  // Only non-default assignment/mode lines are spelled out, keeping legacy
+  // Only a non-default assignment line is spelled out, keeping legacy
   // plans' parse -> to_spec round trips byte-identical.
   if (random_ids) oss << "assign random\n";
-  if (process_mode) oss << "mode process\n";
   for (const FaultEvent& e : events) {
     oss << e.at_us / 1000 << " " << to_string(e.kind);
     if (e.has_slot()) {
@@ -93,21 +92,17 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
 
     std::string head;
     fields >> head;
-    if (head == "seed" || head == "nodes" || head == "assign" ||
-        head == "mode") {
+    if (head == "seed" || head == "nodes" || head == "assign") {
       if (!headers.insert(head).second) {
         bad_line(line, ("duplicate " + head).c_str());
       }
       std::string value;
       if (!(fields >> value)) bad_line(line, "missing value");
-      if (head == "assign" || head == "mode") {
-        // Two spellings each: assign random|probed, mode process|sim.
-        const bool assign = head == "assign";
-        const std::string on = assign ? "random" : "process";
-        if (value != on && value != (assign ? "probed" : "sim")) {
-          bad_line(line, ("unknown " + head).c_str());
+      if (head == "assign") {
+        if (value != "random" && value != "probed") {
+          bad_line(line, "unknown assign");
         }
-        (assign ? plan.random_ids : plan.process_mode) = value == on;
+        plan.random_ids = value == "random";
       } else {
         std::istringstream number(value);
         std::uint64_t n = 0;
@@ -242,7 +237,6 @@ ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
   ChaosPlan plan;
   plan.seed = seed;
   plan.nodes = nodes;
-  plan.process_mode = true;
   // Phase 1: baseline — the freshly booted fleet must converge and cover.
   plan.verify(3'000'000);
   // Phase 2: SIGKILL wave over 25% of the fleet, spread across ~2s.
@@ -301,7 +295,6 @@ ChaosPlan ChaosPlan::process_selfmon(std::uint64_t seed, std::size_t nodes) {
   ChaosPlan plan;
   plan.seed = seed;
   plan.nodes = nodes;
-  plan.process_mode = true;
   // Phase 1: baseline.
   plan.verify(4'000'000);
   // Phase 2: kill wave. The first victim aborts — its crash handler writes

@@ -54,10 +54,6 @@ struct ChaosPlan {
   /// the unbalanced trees (max branching 7+ at n >= 16, Fig. 7a) that the
   /// rebalance event is then expected to repair.
   bool random_ids = false;
-  /// Deployment directive, spelled `mode process`: the plan targets one
-  /// datd process per slot (datd::ProcessFleet). In-process campaigns map
-  /// sigkill/sigabrt to a crash and sigterm to drain + leave.
-  bool process_mode = false;
   std::vector<FaultEvent> events;
 
   // Builder-style helpers; times are virtual microseconds from campaign
@@ -121,7 +117,6 @@ struct ChaosPlan {
   ///   seed <n>
   ///   nodes <n>
   ///   assign random|probed
-  ///   mode process|sim
   ///   <at_ms> crash <slot>
   ///   <at_ms> leave <slot>
   ///   <at_ms> restart <slot>

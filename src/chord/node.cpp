@@ -144,30 +144,26 @@ void Node::find_successor_recursive(
   send_rfind(qid, key);
 }
 
+Node::Hop Node::next_hop(Id key) const {
+  // Resolve locally when possible (singleton, or the key is between us and
+  // our successor); otherwise forward to the closest preceding finger.
+  const NodeRef succ = successor();
+  if (!succ.valid() || succ.endpoint == self_.endpoint) return {self_, true};
+  if (space_.in_open_closed(self_.id, key, succ.id)) return {succ, true};
+  const NodeRef next = closest_preceding(key);
+  if (next.endpoint == self_.endpoint) return {succ, true};
+  return {next, false};
+}
+
 void Node::send_rfind(std::uint64_t qid, Id key) {
   auto it = rlookups_.find(qid);
   if (it == rlookups_.end()) return;
 
-  // Resolve locally when possible (singleton, or the key is between us and
-  // our successor).
-  const NodeRef succ = successor();
-  if (!succ.valid() || succ.endpoint == self_.endpoint) {
+  const Hop hop = next_hop(key);
+  if (hop.resolved) {
     auto handler = std::move(it->second.handler);
     rlookups_.erase(it);
-    handler(net::RpcStatus::kOk, self_, 0);
-    return;
-  }
-  if (space_.in_open_closed(self_.id, key, succ.id)) {
-    auto handler = std::move(it->second.handler);
-    rlookups_.erase(it);
-    handler(net::RpcStatus::kOk, succ, 0);
-    return;
-  }
-  const NodeRef next = closest_preceding(key);
-  if (next.endpoint == self_.endpoint) {
-    auto handler = std::move(it->second.handler);
-    rlookups_.erase(it);
-    handler(net::RpcStatus::kOk, succ, 0);
+    handler(net::RpcStatus::kOk, hop.node, 0);
     return;
   }
 
@@ -177,7 +173,7 @@ void Node::send_rfind(std::uint64_t qid, Id key) {
   w.u64(self_.endpoint);  // reply-to
   w.u8(static_cast<std::uint8_t>(2 * space_.bits() + 8));  // TTL
   w.u8(1);                // hops so far
-  rpc_->send_one_way(next.endpoint, kRecursiveFind, w);
+  rpc_->send_one_way(hop.node.endpoint, kRecursiveFind, w);
 
   // End-to-end timeout: recursive forwarding has no per-hop acks.
   const std::uint64_t budget =
@@ -215,18 +211,9 @@ void Node::handle_rfind(net::Endpoint /*from*/, net::Reader& msg) {
     rpc_->send_one_way(reply_to, kRecursiveFindDone, w);
   };
 
-  const NodeRef succ = successor();
-  if (!joined_ || !succ.valid() || succ.endpoint == self_.endpoint) {
-    answer(self_);
-    return;
-  }
-  if (space_.in_open_closed(self_.id, key, succ.id)) {
-    answer(succ);
-    return;
-  }
-  const NodeRef next = closest_preceding(key);
-  if (next.endpoint == self_.endpoint || ttl == 0) {
-    answer(succ);
+  const Hop hop = joined_ ? next_hop(key) : Hop{self_, true};
+  if (hop.resolved || ttl == 0) {
+    answer(hop.resolved ? hop.node : successor());
     return;
   }
   net::Writer w;
@@ -238,7 +225,7 @@ void Node::handle_rfind(net::Endpoint /*from*/, net::Reader& msg) {
   // not reset the accounting to zero.
   w.u8(hops == UINT8_MAX ? UINT8_MAX
                          : static_cast<std::uint8_t>(hops + 1));
-  rpc_->send_one_way(next.endpoint, kRecursiveFind, w);
+  rpc_->send_one_way(hop.node.endpoint, kRecursiveFind, w);
 }
 
 void Node::handle_rfind_done(net::Endpoint /*from*/, net::Reader& msg) {
@@ -288,22 +275,9 @@ void Node::deliver_upcall(const std::string& topic, Id key,
 
 void Node::route(Id key, const std::string& topic,
                  const net::Writer& payload) {
-  key &= space_.mask();
-  if (owns(key)) {
-    deliver_upcall(topic, key, payload.data());
-    return;
-  }
-  const auto target = dat_parent(key, RoutingScheme::kGreedy);
-  if (!target || target->endpoint == self_.endpoint) {
-    deliver_upcall(topic, key, payload.data());
-    return;
-  }
-  net::Writer w;
-  w.str(topic);
-  w.u64(key);
-  w.u8(static_cast<std::uint8_t>(2 * space_.bits() + 8));  // TTL
-  w.bytes(payload.data());
-  rpc_->send_one_way(target->endpoint, kRoute, w);
+  // route_step forwards with ttl - 1, so the first hop carries 2b + 8.
+  route_step(topic, key & space_.mask(),
+             static_cast<std::uint8_t>(2 * space_.bits() + 9), payload.data());
 }
 
 void Node::handle_route(net::Endpoint /*from*/, net::Reader& msg) {
@@ -311,12 +285,16 @@ void Node::handle_route(net::Endpoint /*from*/, net::Reader& msg) {
   const Id key = msg.u64();
   const std::uint8_t ttl = msg.u8();
   const std::vector<std::uint8_t> payload = msg.bytes();
+  route_step(topic, key, ttl, payload);
+}
 
-  if (owns(key) || ttl == 0) {
-    deliver_upcall(topic, key, payload);
-    return;
-  }
-  const auto target = dat_parent(key, RoutingScheme::kGreedy);
+void Node::route_step(const std::string& topic, Id key, std::uint8_t ttl,
+                      std::span<const std::uint8_t> payload) {
+  // Deliver here when this node owns the key or the hop budget is spent;
+  // otherwise forward one greedy finger hop.
+  const auto target = owns(key) || ttl == 0
+                          ? std::nullopt
+                          : dat_parent(key, RoutingScheme::kGreedy);
   if (!target || target->endpoint == self_.endpoint) {
     deliver_upcall(topic, key, payload);
     return;
@@ -329,55 +307,57 @@ void Node::handle_route(net::Endpoint /*from*/, net::Reader& msg) {
   rpc_->send_one_way(target->endpoint, kRoute, w);
 }
 
-void Node::broadcast_segment(const std::string& topic, Id limit,
-                             std::span<const std::uint8_t> payload) {
-  // Delegate (f, boundary) to each distinct finger f inside the segment
-  // (self, limit), highest first — every node is covered exactly once when
-  // fingers are converged (the same segmentation as DAT snapshots).
+std::vector<Node::Delegation> Node::segment_delegations(Id limit) const {
   const auto in_segment = [&](Id x) {
     if (x == self_.id) return false;
     if (limit == self_.id) return true;  // full circle minus self
     return space_.in_open_open(self_.id, x, limit);
   };
-  std::vector<NodeRef> targets;
+  std::vector<Delegation> out;
   for (unsigned j = space_.bits(); j-- > 0;) {
     const NodeRef& f = j == 0 ? successor() : fingers_[j];
     if (!f.valid() || f.endpoint == self_.endpoint) continue;
     if (!in_segment(f.id)) continue;
-    if (std::any_of(targets.begin(), targets.end(),
-                    [&](const NodeRef& t) { return t.id == f.id; })) {
+    if (std::any_of(out.begin(), out.end(), [&](const Delegation& d) {
+          return d.finger.id == f.id;
+        })) {
       continue;
     }
-    targets.push_back(f);
+    out.push_back({f, 0});
   }
-  std::sort(targets.begin(), targets.end(),
-            [&](const NodeRef& a, const NodeRef& b) {
-              return space_.clockwise(self_.id, a.id) >
-                     space_.clockwise(self_.id, b.id);
+  std::sort(out.begin(), out.end(),
+            [&](const Delegation& a, const Delegation& b) {
+              return space_.clockwise(self_.id, a.finger.id) >
+                     space_.clockwise(self_.id, b.finger.id);
             });
   Id boundary = limit;
-  for (const NodeRef& target : targets) {
+  for (Delegation& d : out) {
+    d.boundary = boundary;
+    boundary = d.finger.id;
+  }
+  return out;
+}
+
+void Node::broadcast_segment(const std::string& topic, Id limit,
+                             std::span<const std::uint8_t> payload) {
+  deliver_upcall(topic, Sha1::hash_to_id("topic:" + topic, space_), payload);
+  for (const Delegation& d : segment_delegations(limit)) {
     net::Writer w;
     w.str(topic);
-    w.u64(boundary);
+    w.u64(d.boundary);
     w.bytes(payload);
-    rpc_->send_one_way(target.endpoint, kBroadcast, w);
-    boundary = target.id;
+    rpc_->send_one_way(d.finger.endpoint, kBroadcast, w);
   }
 }
 
 void Node::broadcast(const std::string& topic, const net::Writer& payload) {
-  deliver_upcall(topic, Sha1::hash_to_id("topic:" + topic, space_),
-                 payload.data());
   broadcast_segment(topic, self_.id, payload.data());
 }
 
 void Node::handle_broadcast(net::Endpoint /*from*/, net::Reader& msg) {
   const std::string topic = msg.str();
   const Id limit = msg.u64();
-  const std::vector<std::uint8_t> payload = msg.bytes();
-  deliver_upcall(topic, Sha1::hash_to_id("topic:" + topic, space_), payload);
-  broadcast_segment(topic, limit, payload);
+  broadcast_segment(topic, limit, msg.bytes());
 }
 
 void Node::create(std::optional<Id> id) {
@@ -927,21 +907,12 @@ void Node::lookup_step(std::shared_ptr<LookupState> state) {
 
   if (state->current.endpoint == self_.endpoint) {
     // Local step: no RPC needed.
-    const NodeRef succ = successor();
-    if (!succ.valid() || succ.endpoint == self_.endpoint) {
-      state->handler(net::RpcStatus::kOk, self_, state->hops);
+    const Hop hop = next_hop(state->key);
+    if (hop.resolved) {
+      state->handler(net::RpcStatus::kOk, hop.node, state->hops);
       return;
     }
-    if (space_.in_open_closed(self_.id, state->key, succ.id)) {
-      state->handler(net::RpcStatus::kOk, succ, state->hops);
-      return;
-    }
-    const NodeRef next = closest_preceding(state->key);
-    if (next.endpoint == self_.endpoint) {
-      state->handler(net::RpcStatus::kOk, succ, state->hops);
-      return;
-    }
-    state->current = next;
+    state->current = hop.node;
     // fall through to the remote step below
   }
 
@@ -994,25 +965,9 @@ void Node::lookup_step(std::shared_ptr<LookupState> state) {
 void Node::handle_lookup_step(net::Endpoint /*from*/, net::Reader& req,
                               net::Writer& reply) {
   const Id key = req.u64() & space_.mask();
-  const NodeRef succ = successor();
-  if (!joined_ || !succ.valid() || succ.endpoint == self_.endpoint) {
-    reply.boolean(true);
-    write_node_ref(reply, self_);
-    return;
-  }
-  if (space_.in_open_closed(self_.id, key, succ.id)) {
-    reply.boolean(true);
-    write_node_ref(reply, succ);
-    return;
-  }
-  const NodeRef next = closest_preceding(key);
-  if (next.endpoint == self_.endpoint) {
-    reply.boolean(true);
-    write_node_ref(reply, succ);
-    return;
-  }
-  reply.boolean(false);
-  write_node_ref(reply, next);
+  const Hop hop = joined_ ? next_hop(key) : Hop{self_, true};
+  reply.boolean(hop.resolved);
+  write_node_ref(reply, hop.node);
 }
 
 void Node::handle_get_neighbors(net::Endpoint /*from*/, net::Reader& /*req*/,

@@ -158,6 +158,16 @@ class Node {
   /// O(log n) depth. Also delivers locally, synchronously.
   void broadcast(const std::string& topic, const net::Writer& payload);
 
+  /// One level of the segmented DHT broadcast (paper Fig. 6): the distinct
+  /// fingers in (self, limit), highest first, each with the boundary of its
+  /// sub-segment (the next higher finger, or `limit`; limit == id() is the
+  /// whole circle). broadcast() and DAT snapshots both fan out along it.
+  struct Delegation {
+    NodeRef finger;
+    Id boundary = 0;
+  };
+  [[nodiscard]] std::vector<Delegation> segment_delegations(Id limit) const;
+
   /// Compares local tables against converged ground truth (tests).
   [[nodiscard]] bool converged_against(const RingView& ring) const;
 
@@ -209,6 +219,13 @@ class Node {
 
   void lookup_step(std::shared_ptr<LookupState> state);
   [[nodiscard]] NodeRef closest_preceding(Id key) const;
+  /// One lookup step from this node, shared by the iterative and recursive
+  /// modes: the key's owner when it resolves here, else the next hop.
+  struct Hop {
+    NodeRef node;
+    bool resolved = false;
+  };
+  [[nodiscard]] Hop next_hop(Id key) const;
   /// Drops a failed endpoint from the finger table, successor list and
   /// predecessor so routing immediately stops selecting it (it may be
   /// re-learned if it was merely slow).
@@ -226,11 +243,16 @@ class Node {
                              net::Writer& reply);
   void handle_leaving(net::Endpoint from, net::Reader& msg);
   void handle_route(net::Endpoint from, net::Reader& msg);
+  /// One greedy routing step of route(): deliver here or forward with
+  /// `ttl` - 1.
+  void route_step(const std::string& topic, Id key, std::uint8_t ttl,
+                  std::span<const std::uint8_t> payload);
   void handle_broadcast(net::Endpoint from, net::Reader& msg);
   void handle_rfind(net::Endpoint from, net::Reader& msg);
   void handle_rfind_done(net::Endpoint from, net::Reader& msg);
   void deliver_upcall(const std::string& topic, Id key,
                       std::span<const std::uint8_t> payload);
+  /// Delivers the topic's upcall here, then delegates (self, limit).
   void broadcast_segment(const std::string& topic, Id limit,
                          std::span<const std::uint8_t> payload);
 

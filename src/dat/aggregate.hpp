@@ -127,4 +127,27 @@ inline AggState read_agg_state(net::Reader& r) {
   return s;
 }
 
+/// Latest global value as held by a tree's root.
+struct GlobalValue {
+  AggState state;
+  std::uint64_t epoch = 0;
+  std::uint64_t updated_at_us = 0;
+};
+
+/// The root-answer codec: one global value as dat.get_global and
+/// dat.get_history carry it.
+inline void write_global_value(net::Writer& w, const GlobalValue& g) {
+  write_agg_state(w, g.state);
+  w.u64(g.epoch);
+  w.u64(g.updated_at_us);
+}
+
+inline GlobalValue read_global_value(net::Reader& r) {
+  GlobalValue g;
+  g.state = read_agg_state(r);
+  g.epoch = r.u64();
+  g.updated_at_us = r.u64();
+  return g;
+}
+
 }  // namespace dat::core

@@ -122,14 +122,12 @@ void DatNode::register_handlers() {
       kSnapResp, [this](net::Endpoint from, net::Reader& msg) {
         handle_snap_resp(from, msg);
       });
-  chord_.rpc().register_one_way(
-      kCollectStart, [this](net::Endpoint from, net::Reader& msg) {
-        handle_collect_start(from, msg);
-      });
-  chord_.rpc().register_one_way(
-      kCollectReq, [this](net::Endpoint from, net::Reader& msg) {
-        handle_collect_req(from, msg);
-      });
+  for (const char* method : {kCollectStart, kCollectReq}) {
+    chord_.rpc().register_one_way(
+        method, [this](net::Endpoint from, net::Reader& msg) {
+          handle_collect(from, msg);
+        });
+  }
   chord_.rpc().register_one_way(
       kHandoff, [this](net::Endpoint from, net::Reader& msg) {
         handle_handoff(from, msg);
@@ -140,7 +138,40 @@ void DatNode::register_handlers() {
       });
 }
 
-// -- on-demand tree collection ----------------------------------------------
+// -- on-demand collection ----------------------------------------------------
+
+template <typename FanOut>
+std::uint64_t DatNode::open_collection(PendingSnapshot pending,
+                                       std::uint64_t timeout_us,
+                                       FanOut fan_out) {
+  const std::uint64_t seq = next_seq_++;
+  snapshots_.emplace(seq, std::move(pending));
+  const unsigned issued = fan_out(seq);
+  auto& slot = snapshots_.at(seq);
+  slot.outstanding = issued;
+  if (issued == 0) {
+    finish_snapshot(seq);
+    return seq;
+  }
+  slot.timer = chord_.rpc().transport().set_timer(timeout_us, [this, seq]() {
+    if (!alive_) return;
+    finish_snapshot(seq);  // return what we have; stragglers are dropped
+  });
+  return seq;
+}
+
+DatNode::PendingSnapshot DatNode::seeded(Id key, SnapshotHandler handler,
+                                         net::Endpoint reply_to,
+                                         std::uint64_t reply_seq) const {
+  PendingSnapshot pending;
+  const auto it = table_.find(key);
+  pending.acc = it != table_.end() ? local_contribution(it->second)
+                                   : AggState::identity();
+  pending.handler = std::move(handler);
+  pending.reply_to = reply_to;
+  pending.reply_seq = reply_seq;
+  return pending;
+}
 
 void DatNode::collect_tree(Id key, SnapshotHandler handler) {
   key &= chord_.space().mask();
@@ -151,16 +182,11 @@ void DatNode::collect_tree(Id key, SnapshotHandler handler) {
   }
   // Route the request to the root; the root collects and answers us on the
   // snapshot-response channel.
-  const std::uint64_t seq = next_seq_++;
   PendingSnapshot pending;
   pending.handler = std::move(handler);
-  pending.outstanding = 1;
-  snapshots_.emplace(seq, std::move(pending));
-  snapshots_.at(seq).timer = chord_.rpc().transport().set_timer(
-      2 * options_.snapshot_timeout_us, [this, seq]() {
-        if (!alive_) return;
-        finish_snapshot(seq);
-      });
+  const std::uint64_t seq =
+      open_collection(std::move(pending), 2 * options_.snapshot_timeout_us,
+                      [](std::uint64_t) { return 1u; });
   chord_.find_successor(key, [this, key, seq](net::RpcStatus status,
                                               chord::NodeRef root) {
     if (!alive_) return;
@@ -176,14 +202,7 @@ void DatNode::collect_tree(Id key, SnapshotHandler handler) {
   });
 }
 
-void DatNode::handle_collect_start(net::Endpoint from, net::Reader& msg) {
-  const std::uint64_t reply_seq = msg.u64();
-  const Id key = msg.u64();
-  const std::uint8_t depth = msg.u8();
-  run_collect(key, from, reply_seq, depth, nullptr);
-}
-
-void DatNode::handle_collect_req(net::Endpoint from, net::Reader& msg) {
+void DatNode::handle_collect(net::Endpoint from, net::Reader& msg) {
   const std::uint64_t reply_seq = msg.u64();
   const Id key = msg.u64();
   const std::uint8_t depth = msg.u8();
@@ -193,40 +212,6 @@ void DatNode::handle_collect_req(net::Endpoint from, net::Reader& msg) {
 void DatNode::run_collect(Id key, net::Endpoint reply_to,
                           std::uint64_t reply_seq, unsigned depth,
                           SnapshotHandler handler) {
-  const std::uint64_t seq = next_seq_++;
-  PendingSnapshot pending;
-  const auto it = table_.find(key);
-  pending.acc = it != table_.end() ? local_contribution(it->second)
-                                   : AggState::identity();
-  pending.handler = std::move(handler);
-  pending.reply_to = reply_to;
-  pending.reply_seq = reply_seq;
-
-  // Pull from every fresh soft-state child (unless the depth budget is
-  // spent, which indicates a transient cycle in stale child records).
-  unsigned issued = 0;
-  if (it != table_.end() && depth > 0) {
-    const std::uint64_t now = chord_.rpc().transport().now_us();
-    const std::uint64_t ttl =
-        static_cast<std::uint64_t>(options_.child_ttl_epochs) *
-        period_of(it->second);
-    for (const auto& [child_ep, record] : it->second.children) {
-      if (now - record.received_at_us > ttl) continue;
-      net::Writer w;
-      w.u64(seq);
-      w.u64(key);
-      w.u8(static_cast<std::uint8_t>(depth - 1));
-      chord_.rpc().send_one_way(child_ep, kCollectReq, w);
-      ++issued;
-    }
-  }
-  snapshots_.emplace(seq, std::move(pending));
-  auto& slot = snapshots_.at(seq);
-  slot.outstanding = issued;
-  if (issued == 0) {
-    finish_snapshot(seq);
-    return;
-  }
   // Scale the timeout with the remaining depth budget so that deeper
   // levels give up strictly before their parents do — otherwise a dead
   // branch at the bottom would exhaust every ancestor's identical timeout
@@ -235,27 +220,37 @@ void DatNode::run_collect(Id key, net::Endpoint reply_to,
   const std::uint64_t level_timeout = std::max<std::uint64_t>(
       options_.snapshot_timeout_us * std::min(depth, max_depth) / max_depth,
       options_.snapshot_timeout_us / 8);
-  slot.timer = chord_.rpc().transport().set_timer(
-      level_timeout, [this, seq]() {
-        if (!alive_) return;
-        finish_snapshot(seq);
+  const auto it = table_.find(key);
+  open_collection(
+      seeded(key, std::move(handler), reply_to, reply_seq), level_timeout,
+      [&](std::uint64_t seq) {
+        // Pull from every fresh soft-state child (unless the depth budget
+        // is spent, which indicates a transient cycle in stale child
+        // records).
+        unsigned issued = 0;
+        if (it == table_.end() || depth == 0) return issued;
+        const std::uint64_t now = chord_.rpc().transport().now_us();
+        for (const auto& [child_ep, record] : it->second.children) {
+          if (!fresh(it->second, record, now)) continue;
+          net::Writer w;
+          w.u64(seq);
+          w.u64(key);
+          w.u8(static_cast<std::uint8_t>(depth - 1));
+          chord_.rpc().send_one_way(child_ep, kCollectReq, w);
+          ++issued;
+        }
+        return issued;
       });
 }
 
 void DatNode::start_aggregate(Id key, AggregateKind kind,
                               chord::RoutingScheme scheme, LocalValueFn local,
                               std::uint64_t epoch_us) {
-  key &= chord_.space().mask();
-  auto [it, inserted] = table_.try_emplace(key);
-  Entry& entry = it->second;
-  entry.key = key;
-  entry.kind = kind;
-  entry.scheme = scheme;
-  entry.local = std::move(local);
-  if (epoch_us != 0) entry.epoch_us = epoch_us;
-  if (inserted) {
-    arm_epoch(key);
+  LocalStateFn state;
+  if (local) {
+    state = [local = std::move(local)] { return AggState::of(local()); };
   }
+  start_aggregate_state(key, kind, scheme, std::move(state), epoch_us);
 }
 
 Id DatNode::start_aggregate(std::string_view name, AggregateKind kind,
@@ -270,8 +265,17 @@ void DatNode::start_aggregate_state(Id key, AggregateKind kind,
                                     chord::RoutingScheme scheme,
                                     LocalStateFn local,
                                     std::uint64_t epoch_us) {
-  start_aggregate(key, kind, scheme, nullptr, epoch_us);
-  table_.at(key & chord_.space().mask()).local_state = std::move(local);
+  key &= chord_.space().mask();
+  auto [it, inserted] = table_.try_emplace(key);
+  Entry& entry = it->second;
+  entry.key = key;
+  entry.kind = kind;
+  entry.scheme = scheme;
+  entry.local = std::move(local);
+  if (epoch_us != 0) entry.epoch_us = epoch_us;
+  if (inserted) {
+    arm_epoch(key);
+  }
 }
 
 Id DatNode::start_aggregate_state(std::string_view name, AggregateKind kind,
@@ -308,21 +312,60 @@ void DatNode::arm_epoch(Id key) {
       });
 }
 
+bool DatNode::fresh(const Entry& entry, const ChildRecord& child,
+                    std::uint64_t now) const {
+  // Soft-state membership: the TTL scales with the entry's push period.
+  return now - child.received_at_us <=
+         static_cast<std::uint64_t>(options_.child_ttl_epochs) *
+             period_of(entry);
+}
+
+void DatNode::expire_children(Entry& entry, std::uint64_t now) {
+  std::erase_if(entry.children, [&](const auto& child) {
+    return !fresh(entry, child.second, now);
+  });
+}
+
 AggState DatNode::collect(Entry& entry) {
   AggState state = local_contribution(entry);
   const std::uint64_t now = chord_.rpc().transport().now_us();
-  const std::uint64_t ttl =
-      static_cast<std::uint64_t>(options_.child_ttl_epochs) * period_of(entry);
-  for (auto it = entry.children.begin(); it != entry.children.end();) {
-    if (now - it->second.received_at_us > ttl) {
-      it = entry.children.erase(it);  // soft-state expiry: departed child
-    } else {
-      m_child_staleness_->observe(now - it->second.received_at_us);
-      state.merge(it->second.state);
-      ++it;
-    }
+  expire_children(entry, now);  // departed children leave the aggregate
+  for (const auto& [child_ep, record] : entry.children) {
+    m_child_staleness_->observe(now - record.received_at_us);
+    state.merge(record.state);
   }
   return state;
+}
+
+std::uint64_t DatNode::record_wave_span(const char* name,
+                                        std::uint64_t trace_id,
+                                        std::uint64_t parent_span,
+                                        const Entry& entry,
+                                        std::uint64_t at_us,
+                                        net::Endpoint peer) {
+  obs::FlightRecorder& recorder = chord_.telemetry().recorder;
+  obs::Span span;
+  span.trace_id = trace_id;
+  span.span_id = recorder.new_span_id();
+  span.parent_span_id = parent_span;
+  span.name = name;
+  span.start_us = at_us;
+  span.end_us = at_us;
+  span.key = entry.key;
+  span.epoch = entry.epoch;
+  span.peer = peer;
+  recorder.record(span);
+  return span.span_id;
+}
+
+void DatNode::send_handoff(net::Endpoint to, Id key,
+                           const chord::NodeRef& relay,
+                           std::uint64_t ttl_us) {
+  net::Writer w;
+  w.u64(key);
+  chord::write_node_ref(w, relay);
+  w.u64(ttl_us);
+  chord_.rpc().send_one_way(to, kHandoff, w);
 }
 
 void DatNode::run_epoch(Id key) {
@@ -350,16 +393,8 @@ void DatNode::run_epoch(Id key) {
     // Close the causal wave: the aggregate span is the chain's last link,
     // parented on the most recent traced child update folded in.
     if (entry.wave_trace_id != 0) {
-      obs::Span span;
-      span.trace_id = entry.wave_trace_id;
-      span.span_id = tel.recorder.new_span_id();
-      span.parent_span_id = entry.wave_parent_span;
-      span.name = "dat.aggregate";
-      span.start_us = now;
-      span.end_us = now;
-      span.key = key;
-      span.epoch = entry.epoch;
-      tel.recorder.record(span);
+      record_wave_span("dat.aggregate", entry.wave_trace_id,
+                       entry.wave_parent_span, entry, now);
       entry.wave_trace_id = 0;
       entry.wave_parent_span = 0;
     }
@@ -370,14 +405,11 @@ void DatNode::run_epoch(Id key) {
   // push goes to the designated relay instead of the geometric parent. An
   // expired (or self-pointing) override falls back silently — soft state.
   chord::NodeRef push_to = *parent;
-  if (entry.parent_override.valid()) {
-    if (now >= entry.override_until_us ||
-        entry.parent_override.endpoint == chord_.rpc().local()) {
-      entry.parent_override = {};
-      entry.override_until_us = 0;
-    } else {
-      push_to = entry.parent_override;
-    }
+  if (override_live(entry, now)) {
+    push_to = entry.parent_override;
+  } else {
+    entry.parent_override = {};
+    entry.override_until_us = 0;
   }
   if (entry.last_parent != net::kNullEndpoint &&
       entry.last_parent != push_to.endpoint) {
@@ -396,17 +428,8 @@ void DatNode::run_epoch(Id key) {
   }
   entry.wave_trace_id = 0;
   entry.wave_parent_span = 0;
-  obs::Span span;
-  span.trace_id = trace_id;
-  span.span_id = tel.recorder.new_span_id();
-  span.parent_span_id = parent_span;
-  span.name = "dat.update.send";
-  span.start_us = now;
-  span.end_us = now;
-  span.key = key;
-  span.epoch = entry.epoch;
-  span.peer = push_to.endpoint;
-  tel.recorder.record(span);
+  const std::uint64_t send_span = record_wave_span(
+      "dat.update.send", trace_id, parent_span, entry, now, push_to.endpoint);
 
   net::Writer w;
   w.u64(key);
@@ -416,7 +439,7 @@ void DatNode::run_epoch(Id key) {
   write_agg_state(w, state);
   {
     // Scoped so RpcManager stamps {trace, send span} onto the wire frame.
-    const obs::TraceContext::Scope scope(tel.trace, trace_id, span.span_id);
+    const obs::TraceContext::Scope scope(tel.trace, trace_id, send_span);
     chord_.rpc().send_one_way(push_to.endpoint, kUpdate, w);
   }
   ++entry.updates_sent;
@@ -455,11 +478,7 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
     // re-adopting a record we already retracted upstream. Never redirect
     // the relay at itself.
     if (entry.drain_relay.valid() && from != entry.drain_relay.endpoint) {
-      net::Writer w;
-      w.u64(key);
-      chord::write_node_ref(w, entry.drain_relay);
-      w.u64(entry.drain_ttl_us);
-      chord_.rpc().send_one_way(from, kHandoff, w);
+      send_handoff(from, key, entry.drain_relay, entry.drain_ttl_us);
     }
     return;
   }
@@ -484,19 +503,10 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
   // root's aggregate span) continues this chain.
   obs::NodeTelemetry& tel = chord_.telemetry();
   if (tel.trace.active()) {
-    obs::Span span;
-    span.trace_id = tel.trace.trace_id();
-    span.span_id = tel.recorder.new_span_id();
-    span.parent_span_id = tel.trace.span_id();
-    span.name = "dat.update.recv";
-    span.start_us = rec.received_at_us;
-    span.end_us = rec.received_at_us;
-    span.key = key;
-    span.epoch = entry.epoch;
-    span.peer = from;
-    tel.recorder.record(span);
-    entry.wave_trace_id = span.trace_id;
-    entry.wave_parent_span = span.span_id;
+    entry.wave_trace_id = tel.trace.trace_id();
+    entry.wave_parent_span =
+        record_wave_span("dat.update.recv", tel.trace.trace_id(),
+                         tel.trace.span_id(), entry, rec.received_at_us, from);
   }
 }
 
@@ -506,46 +516,81 @@ void DatNode::handle_get_global(net::Endpoint /*from*/, net::Reader& req,
   const auto it = table_.find(key);
   const bool found = it != table_.end() && it->second.global.has_value();
   reply.boolean(found);
-  if (found) {
-    const GlobalValue& g = *it->second.global;
-    write_agg_state(reply, g.state);
-    reply.u64(g.epoch);
-    reply.u64(g.updated_at_us);
+  if (found) write_global_value(reply, *it->second.global);
+}
+
+void DatNode::handle_get_history(net::Endpoint /*from*/, net::Reader& req,
+                                 net::Writer& reply) {
+  const Id key = req.u64();
+  const auto max_points = static_cast<std::size_t>(req.u32());
+  const auto it = table_.find(key);
+  if (it == table_.end()) {
+    reply.u32(0);
+    return;
+  }
+  const auto& hist = it->second.history;
+  const std::size_t count = std::min(max_points, hist.size());
+  reply.u32(static_cast<std::uint32_t>(count));
+  for (std::size_t i = hist.size() - count; i < hist.size(); ++i) {
+    write_global_value(reply, hist[i]);
   }
 }
 
-void DatNode::query_global(Id key, QueryHandler handler) {
+template <typename OnReply>
+void DatNode::query_root(Id key, const char* method,
+                         std::optional<std::uint32_t> max_points,
+                         OnReply on_reply) {
   key &= chord_.space().mask();
   chord_.find_successor(
-      key, [this, key, handler = std::move(handler)](net::RpcStatus status,
-                                                     chord::NodeRef root) {
+      key, [this, key, method, max_points, on_reply = std::move(on_reply)](
+               net::RpcStatus status, chord::NodeRef root) {
         if (!alive_) return;
         if (status != net::RpcStatus::kOk || !root.valid()) {
-          handler(status, std::nullopt);
+          on_reply(status, nullptr);
           return;
         }
         net::Writer w;
         w.u64(key);
+        if (max_points) w.u32(*max_points);
         chord_.rpc().call(
-            root.endpoint, kGetGlobal, w,
-            [this, handler](net::RpcStatus st, net::Reader& r) {
+            root.endpoint, method, w,
+            [this, on_reply](net::RpcStatus st, net::Reader& r) {
               if (!alive_) return;
-              if (st != net::RpcStatus::kOk) {
-                handler(st, std::nullopt);
-                return;
-              }
-              if (!r.boolean()) {
-                handler(net::RpcStatus::kOk, std::nullopt);
-                return;
-              }
-              GlobalValue g;
-              g.state = read_agg_state(r);
-              g.epoch = r.u64();
-              g.updated_at_us = r.u64();
-              handler(net::RpcStatus::kOk, g);
+              on_reply(st, &r);
             },
             options_.rpc);
       });
+}
+
+void DatNode::query_global(Id key, QueryHandler handler) {
+  // A null reader means the lookup itself failed.
+  query_root(key, kGetGlobal, std::nullopt,
+             [handler = std::move(handler)](net::RpcStatus st,
+                                            net::Reader* r) {
+               if (st != net::RpcStatus::kOk || r == nullptr ||
+                   !r->boolean()) {
+                 handler(st, std::nullopt);
+                 return;
+               }
+               handler(st, read_global_value(*r));
+             });
+}
+
+void DatNode::query_history(Id key, std::size_t max_points,
+                            HistoryHandler handler) {
+  query_root(key, kGetHistory, static_cast<std::uint32_t>(max_points),
+             [handler = std::move(handler)](net::RpcStatus st,
+                                            net::Reader* r) {
+               std::vector<GlobalValue> points;
+               if (st == net::RpcStatus::kOk && r != nullptr) {
+                 const auto count = r->u32();
+                 points.reserve(count);
+                 for (std::uint32_t i = 0; i < count; ++i) {
+                   points.push_back(read_global_value(*r));
+                 }
+               }
+               handler(st, std::move(points));
+             });
 }
 
 std::vector<GlobalValue> DatNode::history(Id key) const {
@@ -554,162 +599,35 @@ std::vector<GlobalValue> DatNode::history(Id key) const {
   return {it->second.history.begin(), it->second.history.end()};
 }
 
-void DatNode::handle_get_history(net::Endpoint /*from*/, net::Reader& req,
-                                 net::Writer& reply) {
-  const Id key = req.u64();
-  const auto max_points = static_cast<std::size_t>(req.u32());
-  const auto it = table_.find(key);
-  if (it == table_.end() || it->second.history.empty()) {
-    reply.u32(0);
-    return;
-  }
-  const auto& hist = it->second.history;
-  const std::size_t count = std::min(max_points, hist.size());
-  reply.u32(static_cast<std::uint32_t>(count));
-  for (std::size_t i = hist.size() - count; i < hist.size(); ++i) {
-    write_agg_state(reply, hist[i].state);
-    reply.u64(hist[i].epoch);
-    reply.u64(hist[i].updated_at_us);
-  }
-}
-
-void DatNode::query_history(Id key, std::size_t max_points,
-                            HistoryHandler handler) {
-  key &= chord_.space().mask();
-  chord_.find_successor(
-      key, [this, key, max_points, handler = std::move(handler)](
-               net::RpcStatus status, chord::NodeRef root) {
-        if (!alive_) return;
-        if (status != net::RpcStatus::kOk || !root.valid()) {
-          handler(status, {});
-          return;
-        }
-        net::Writer w;
-        w.u64(key);
-        w.u32(static_cast<std::uint32_t>(max_points));
-        chord_.rpc().call(
-            root.endpoint, kGetHistory, w,
-            [this, handler](net::RpcStatus st, net::Reader& r) {
-              if (!alive_) return;
-              std::vector<GlobalValue> points;
-              if (st == net::RpcStatus::kOk) {
-                const auto count = r.u32();
-                points.reserve(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                  GlobalValue g;
-                  g.state = read_agg_state(r);
-                  g.epoch = r.u64();
-                  g.updated_at_us = r.u64();
-                  points.push_back(g);
-                }
-              }
-              handler(st, std::move(points));
-            },
-            options_.rpc);
-      });
-}
-
 // -- on-demand snapshots ------------------------------------------------------
 
 void DatNode::snapshot(Id key, SnapshotHandler handler) {
-  key &= chord_.space().mask();
-  const std::uint64_t seq = next_seq_++;
-  PendingSnapshot snap;
-  const auto it = table_.find(key);
-  snap.acc = it != table_.end() ? local_contribution(it->second)
-                                : AggState::identity();
-  snap.handler = std::move(handler);
-  snapshots_.emplace(seq, std::move(snap));
-
   // Cover the whole circle (self, self] via the fingers.
-  const unsigned issued = snapshot_fan_out(key, chord_.id(), seq);
-  auto& pending = snapshots_.at(seq);
-  pending.outstanding = issued;
-  if (issued == 0) {
-    finish_snapshot(seq);
-    return;
-  }
-  pending.timer = chord_.rpc().transport().set_timer(
-      options_.snapshot_timeout_us, [this, seq]() {
-        if (!alive_) return;
-        finish_snapshot(seq);  // return what we have; stragglers are dropped
-      });
-}
-
-unsigned DatNode::snapshot_fan_out(Id key, Id limit, std::uint64_t seq) {
-  // Segmented DHT broadcast (the Chord `broadcast` routine of Fig. 6):
-  // delegate (f_j, boundary) to finger f_j, where boundary is the next
-  // higher finger already delegated (or `limit` for the highest). Every
-  // node in (self, limit) is reached exactly once.
-  const IdSpace& space = chord_.space();
-
-  // Membership test for the delegated segment (self, limit), where
-  // limit == self means the full circle minus self (the initiator's case).
-  const auto in_segment = [&](Id x) {
-    if (x == chord_.id()) return false;
-    if (limit == chord_.id()) return true;  // full circle minus self
-    return space.in_open_open(chord_.id(), x, limit);
-  };
-
-  // Collect distinct fingers inside the segment.
-  std::vector<std::pair<Id, net::Endpoint>> targets;
-  for (unsigned j = space.bits(); j-- > 0;) {
-    const chord::NodeRef& f =
-        j == 0 ? chord_.successor() : chord_.finger(j);
-    if (!f.valid() || f.endpoint == chord_.rpc().local()) continue;
-    if (!in_segment(f.id)) continue;
-    if (std::any_of(targets.begin(), targets.end(),
-                    [&](const auto& t) { return t.first == f.id; })) {
-      continue;
-    }
-    targets.emplace_back(f.id, f.endpoint);
-  }
-  // Highest-id target first: delegate (f, previous boundary).
-  std::sort(targets.begin(), targets.end(), [&](const auto& a, const auto& b) {
-    return space.clockwise(chord_.id(), a.first) >
-           space.clockwise(chord_.id(), b.first);
-  });
-
-  unsigned issued = 0;
-  Id boundary = limit;
-  for (const auto& [fid, fep] : targets) {
-    net::Writer w;
-    w.u64(seq);
-    w.u64(key);
-    w.u64(boundary);
-    chord_.rpc().send_one_way(fep, kSnapReq, w);
-    ++issued;
-    boundary = fid;
-  }
-  return issued;
+  run_snapshot(key & chord_.space().mask(), chord_.id(), std::move(handler),
+               net::kNullEndpoint, 0);
 }
 
 void DatNode::handle_snap_req(net::Endpoint from, net::Reader& msg) {
   const std::uint64_t origin_seq = msg.u64();
   const Id key = msg.u64();
   const Id limit = msg.u64();
+  run_snapshot(key, limit, nullptr, from, origin_seq);
+}
 
-  const std::uint64_t seq = next_seq_++;
-  PendingSnapshot snap;
-  const auto it = table_.find(key);
-  snap.acc = it != table_.end() ? local_contribution(it->second)
-                                : AggState::identity();
-  snap.reply_to = from;
-  snap.reply_seq = origin_seq;
-  snapshots_.emplace(seq, std::move(snap));
-
-  const unsigned issued = snapshot_fan_out(key, limit, seq);
-  auto& pending = snapshots_.at(seq);
-  pending.outstanding = issued;
-  if (issued == 0) {
-    finish_snapshot(seq);
-    return;
-  }
-  pending.timer = chord_.rpc().transport().set_timer(
-      options_.snapshot_timeout_us,
-      [this, seq]() {
-        if (!alive_) return;
-        finish_snapshot(seq);
+void DatNode::run_snapshot(Id key, Id limit, SnapshotHandler handler,
+                           net::Endpoint reply_to, std::uint64_t reply_seq) {
+  open_collection(
+      seeded(key, std::move(handler), reply_to, reply_seq),
+      options_.snapshot_timeout_us, [&](std::uint64_t seq) {
+        const auto delegations = chord_.segment_delegations(limit);
+        for (const chord::Node::Delegation& d : delegations) {
+          net::Writer w;
+          w.u64(seq);
+          w.u64(key);
+          w.u64(d.boundary);
+          chord_.rpc().send_one_way(d.finger.endpoint, kSnapReq, w);
+        }
+        return static_cast<unsigned>(delegations.size());
       });
 }
 
@@ -754,17 +672,8 @@ std::size_t DatNode::shed_children(Id key, std::size_t keep,
   if (it == table_.end() || keep == 0) return 0;
   Entry& entry = it->second;
 
-  // Work from fresh children only (same expiry rule as collect()).
-  const std::uint64_t now = chord_.rpc().transport().now_us();
-  const std::uint64_t ttl =
-      static_cast<std::uint64_t>(options_.child_ttl_epochs) * period_of(entry);
-  for (auto c = entry.children.begin(); c != entry.children.end();) {
-    if (now - c->second.received_at_us > ttl) {
-      c = entry.children.erase(c);
-    } else {
-      ++c;
-    }
-  }
+  // Work from fresh children only.
+  expire_children(entry, chord_.rpc().transport().now_us());
   if (entry.children.size() <= keep) return 0;
 
   // The relay is the kept child with the lowest endpoint — deterministic
@@ -774,11 +683,7 @@ std::size_t DatNode::shed_children(Id key, std::size_t keep,
   auto c = std::next(entry.children.begin(),
                      static_cast<std::ptrdiff_t>(keep));
   while (c != entry.children.end()) {
-    net::Writer w;
-    w.u64(key);
-    chord::write_node_ref(w, relay);
-    w.u64(ttl_us);
-    chord_.rpc().send_one_way(c->first, kHandoff, w);
+    send_handoff(c->first, key, relay, ttl_us);
     // Drop the record now: the child's next push lands at the relay, and a
     // lingering record here would double-count the subtree once the relay
     // starts reporting it.
@@ -801,10 +706,13 @@ void DatNode::set_parent_override(Id key, chord::NodeRef relay,
 
 bool DatNode::has_parent_override(Id key) const {
   const auto it = table_.find(key & chord_.space().mask());
-  if (it == table_.end()) return false;
-  const Entry& entry = it->second;
-  return entry.parent_override.valid() &&
-         chord_.rpc().transport().now_us() < entry.override_until_us;
+  return it != table_.end() &&
+         override_live(it->second, chord_.rpc().transport().now_us());
+}
+
+bool DatNode::override_live(const Entry& entry, std::uint64_t now) const {
+  return entry.parent_override.valid() && now < entry.override_until_us &&
+         entry.parent_override.endpoint != chord_.rpc().local();
 }
 
 void DatNode::handle_handoff(net::Endpoint /*from*/, net::Reader& msg) {
@@ -825,9 +733,7 @@ std::vector<Id> DatNode::active_keys() const {
 }
 
 chord::NodeRef DatNode::drain_relay_for(const Entry& entry) const {
-  const std::uint64_t now = chord_.rpc().transport().now_us();
-  if (entry.parent_override.valid() && now < entry.override_until_us &&
-      entry.parent_override.endpoint != chord_.rpc().local()) {
+  if (override_live(entry, chord_.rpc().transport().now_us())) {
     return entry.parent_override;
   }
   if (const auto parent = chord_.dat_parent(entry.key, entry.scheme)) {
@@ -845,18 +751,9 @@ std::size_t DatNode::drain_children(Id key, std::uint64_t ttl_us) {
   if (it == table_.end()) return 0;
   Entry& entry = it->second;
 
-  // Prune stale records first (same expiry rule as collect()) so departed
-  // children are not counted as "moved".
-  const std::uint64_t now = chord_.rpc().transport().now_us();
-  const std::uint64_t ttl =
-      static_cast<std::uint64_t>(options_.child_ttl_epochs) * period_of(entry);
-  for (auto c = entry.children.begin(); c != entry.children.end();) {
-    if (now - c->second.received_at_us > ttl) {
-      c = entry.children.erase(c);
-    } else {
-      ++c;
-    }
-  }
+  // Prune stale records first so departed children are not counted as
+  // "moved".
+  expire_children(entry, chord_.rpc().transport().now_us());
 
   const chord::NodeRef relay = drain_relay_for(entry);
   entry.draining = true;
@@ -874,11 +771,7 @@ std::size_t DatNode::drain_children(Id key, std::uint64_t ttl_us) {
     // successor often is). set_parent_override ignores self-relays, so a
     // redirect would be a no-op; it re-parents via stabilization instead.
     if (child_ep == relay.endpoint) continue;
-    net::Writer w;
-    w.u64(key);
-    chord::write_node_ref(w, relay);
-    w.u64(ttl_us);
-    chord_.rpc().send_one_way(child_ep, kHandoff, w);
+    send_handoff(child_ep, key, relay, ttl_us);
     ++moved;
   }
   // Drop every record now: the subtree reports through the relay from its

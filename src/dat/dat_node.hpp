@@ -38,13 +38,6 @@ struct DatOptions {
   net::RpcManager::Options rpc = net::RpcOptions::adaptive();
 };
 
-/// Latest global value as held by a tree's root.
-struct GlobalValue {
-  AggState state;
-  std::uint64_t epoch = 0;
-  std::uint64_t updated_at_us = 0;
-};
-
 /// The DAT layer of one node (paper Sec. 4, Fig. 6): an aggregation table
 /// of active trees, the continuous bottom-up push protocol along
 /// implicitly-constructed tree edges, an on-demand snapshot mode via
@@ -87,7 +80,8 @@ class DatNode {
 
   /// Like start_aggregate, but the leaf contributes a full AggState each
   /// epoch (mergeable histogram payloads, pre-merged sub-aggregates)
-  /// instead of a single scalar. Replaces any LocalValueFn for the key.
+  /// instead of a single scalar. Both replace the key's leaf hook; the
+  /// scalar forms wrap their sample as AggState::of.
   void start_aggregate_state(Id key, AggregateKind kind,
                              chord::RoutingScheme scheme, LocalStateFn local,
                              std::uint64_t epoch_us = 0);
@@ -213,8 +207,7 @@ class DatNode {
     Id key = 0;
     AggregateKind kind = AggregateKind::kSum;
     chord::RoutingScheme scheme = chord::RoutingScheme::kBalanced;
-    LocalValueFn local;       // may be null (relay-only)
-    LocalStateFn local_state; // full-state leaf hook; wins over `local`
+    LocalStateFn local;  // leaf hook; null for a relay-only entry
     std::map<net::Endpoint, ChildRecord> children;
     std::uint64_t epoch = 0;
     net::TimerId timer = 0;
@@ -264,14 +257,32 @@ class DatNode {
   /// This node's own leaf contribution for the entry (identity when the
   /// entry is relay-only).
   [[nodiscard]] static AggState local_contribution(const Entry& entry) {
-    if (entry.local_state) return entry.local_state();
-    if (entry.local) return AggState::of(entry.local());
-    return AggState::identity();
+    return entry.local ? entry.local() : AggState::identity();
   }
   [[nodiscard]] std::uint64_t period_of(const Entry& entry) const {
     return entry.epoch_us != 0 ? entry.epoch_us : options_.epoch_us;
   }
+  /// Soft-state membership: a child is fresh while its last update is at
+  /// most DatOptions::child_ttl_epochs push periods old.
+  [[nodiscard]] bool fresh(const Entry& entry, const ChildRecord& child,
+                           std::uint64_t now) const;
+  /// Erases every child record that is no longer fresh.
+  void expire_children(Entry& entry, std::uint64_t now);
 
+  /// Records one link of an aggregation wave's span chain on this node's
+  /// flight recorder and returns the new span id.
+  std::uint64_t record_wave_span(const char* name, std::uint64_t trace_id,
+                                 std::uint64_t parent_span, const Entry& entry,
+                                 std::uint64_t at_us,
+                                 net::Endpoint peer = net::kNullEndpoint);
+  /// Sends dat.handoff: `to` pushes `key` to `relay` for `ttl_us`.
+  void send_handoff(net::Endpoint to, Id key, const chord::NodeRef& relay,
+                    std::uint64_t ttl_us);
+
+  /// True while the entry's parent override is unexpired and not this
+  /// node itself: run_epoch then pushes to it instead of dat_parent.
+  [[nodiscard]] bool override_live(const Entry& entry,
+                                   std::uint64_t now) const;
   /// Upstream relay a draining entry points its children at.
   [[nodiscard]] chord::NodeRef drain_relay_for(const Entry& entry) const;
 
@@ -284,8 +295,28 @@ class DatNode {
                           net::Writer& reply);
   void handle_snap_req(net::Endpoint from, net::Reader& msg);
   void handle_snap_resp(net::Endpoint from, net::Reader& msg);
-  void handle_collect_start(net::Endpoint from, net::Reader& msg);
-  void handle_collect_req(net::Endpoint from, net::Reader& msg);
+  /// dat.collect_start (at the root) and dat.collect_req (below it).
+  void handle_collect(net::Endpoint from, net::Reader& msg);
+
+  /// Routes to the root of `key` and calls `method` there (the request is
+  /// the key, then `max_points` when set). `on_reply(status, reader)` gets
+  /// a null reader when the lookup itself failed.
+  template <typename OnReply>
+  void query_root(Id key, const char* method,
+                  std::optional<std::uint32_t> max_points, OnReply on_reply);
+
+  /// A pending collection seeded with this node's own contribution to
+  /// `key`; it answers `handler`, or else (reply_to, reply_seq).
+  [[nodiscard]] PendingSnapshot seeded(Id key, SnapshotHandler handler,
+                                       net::Endpoint reply_to,
+                                       std::uint64_t reply_seq) const;
+  /// Opens `pending` under a fresh sequence number and runs
+  /// `fan_out(seq)`, which returns the number of sub-requests it issued.
+  /// With none the collection finishes at once; otherwise it finishes on
+  /// the last response or after `timeout_us`. Returns the sequence number.
+  template <typename FanOut>
+  std::uint64_t open_collection(PendingSnapshot pending,
+                                std::uint64_t timeout_us, FanOut fan_out);
 
   /// Runs one level of tree collection: pull from fresh children, merge
   /// with the local value, reply upstream through the snapshot plumbing.
@@ -294,9 +325,10 @@ class DatNode {
   void run_collect(Id key, net::Endpoint reply_to, std::uint64_t reply_seq,
                    unsigned depth, SnapshotHandler handler);
 
-  /// Fans a snapshot out over the ring segment (self, limit); returns the
-  /// number of sub-requests issued against pending sequence `seq`.
-  unsigned snapshot_fan_out(Id key, Id limit, std::uint64_t seq);
+  /// Runs one level of a snapshot: Chord's segmented broadcast over the
+  /// ring segment (self, limit), echoing the merged state back.
+  void run_snapshot(Id key, Id limit, SnapshotHandler handler,
+                    net::Endpoint reply_to, std::uint64_t reply_seq);
   void finish_snapshot(std::uint64_t seq);
 
   chord::Node& chord_;

@@ -149,11 +149,7 @@ std::optional<core::GlobalValue> AdminClient::global_at(net::Endpoint target,
       target, "dat.get_global", req,
       [](net::Reader& r) -> std::optional<core::GlobalValue> {
         if (!r.boolean()) return std::nullopt;
-        core::GlobalValue g;
-        g.state = core::read_agg_state(r);
-        g.epoch = r.u64();
-        g.updated_at_us = r.u64();
-        return g;
+        return core::read_global_value(r);
       });
 }
 

@@ -11,7 +11,7 @@
 
 #include "common/rng.hpp"
 #include "datd/signals.hpp"
-#include "lb/drain.hpp"
+#include "lb/policy.hpp"
 #include "obs/export.hpp"
 #include "obs/postmortem.hpp"
 
@@ -165,9 +165,7 @@ bool Daemon::drain() {
   // the entries stay in the table (draining) so stragglers get redirects.
   // ReplicatedAggregate::stop() is deliberately NOT called first — it would
   // erase the entries before they could hand their children off.
-  lb::PolicyOptions policy;
-  policy.handoff_ttl_us = config_.handoff_ttl_ms * 1000;
-  (void)lb::drain_node(*dat_, policy);
+  (void)dat_->drain(config_.handoff_ttl_ms * 1000);
 
   // Let the handoffs, retracts and the children's first re-parented pushes
   // flush — bounded by the hard deadline.

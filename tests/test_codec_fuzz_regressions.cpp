@@ -8,12 +8,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "dat/aggregate.hpp"
 #include "net/codec.hpp"
 #include "net/transport.hpp"
 
 namespace {
 
 using namespace dat::net;
+using dat::core::AggState;
+using dat::core::GlobalValue;
 
 using Bytes = std::vector<std::uint8_t>;
 
@@ -123,6 +126,94 @@ TEST(CodecFuzzRegression, ThrowingDecodeAgreesWithTryDecode) {
       EXPECT_EQ(e.error().code, Message::try_decode(wire).error.code);
     }
   }
+}
+
+// -- DAT body decoders --------------------------------------------------------
+// The fuzz harness also feeds every input to read_agg_state and
+// read_global_value; accepted input must re-encode to the consumed bytes.
+
+/// Decodes `wire` with `read` and expects a CodecError of `code` at
+/// `offset`.
+template <typename Read>
+void expect_body_rejected(const Bytes& wire, Read read, DecodeErrorCode code,
+                          std::size_t offset, const char* corpus_name) {
+  Reader r(wire);
+  try {
+    (void)read(r);
+    FAIL() << corpus_name << ": decoder accepted malformed input";
+  } catch (const CodecError& e) {
+    EXPECT_EQ(e.error().code, code) << corpus_name << ": " << e.what();
+    EXPECT_EQ(e.error().offset, offset) << corpus_name << ": " << e.what();
+  }
+}
+
+const Bytes kScalarThree{
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x22, 0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00, 0x00};
+
+TEST(CodecFuzzRegression, AggStateScalarRoundTrips) {
+  // corpus: agg_state_scalar.bin — AggState::of(3.0), no histogram.
+  Reader r(kScalarThree);
+  const AggState s = dat::core::read_agg_state(r);
+  EXPECT_EQ(s, AggState::of(3.0));
+  EXPECT_TRUE(r.exhausted());
+  Writer w;
+  dat::core::write_agg_state(w, s);
+  EXPECT_EQ(w.data(), kScalarThree);
+  // As a root answer it stops where the epoch should start.
+  expect_body_rejected(kScalarThree, dat::core::read_global_value,
+                       DecodeErrorCode::kTruncated, 44,
+                       "agg_state_scalar.bin");
+}
+
+TEST(CodecFuzzRegression, AggStateHistogramCountOverflow) {
+  // corpus: agg_state_hist_overflow.bin — identity fields, then a bucket
+  // count of 66 (> obs::Histogram::kBuckets).
+  const Bytes wire{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0xf0, 0x7f, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0xf0, 0xff, 0x42, 0x00, 0x00, 0x00};
+  expect_body_rejected(wire, dat::core::read_agg_state,
+                       DecodeErrorCode::kLengthOverflow, 44,
+                       "agg_state_hist_overflow.bin");
+  expect_body_rejected(wire, dat::core::read_global_value,
+                       DecodeErrorCode::kLengthOverflow, 44,
+                       "agg_state_hist_overflow.bin");
+}
+
+TEST(CodecFuzzRegression, GlobalValueRoundTrips) {
+  // corpus: global_value_valid.bin — AggState::of(2.5), epoch 7, updated
+  // at 1000 us.
+  const Bytes wire{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x00, 0x19, 0x40, 0x01, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x04, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,
+                   0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  Reader r(wire);
+  const GlobalValue g = dat::core::read_global_value(r);
+  EXPECT_EQ(g.state, AggState::of(2.5));
+  EXPECT_EQ(g.epoch, 7u);
+  EXPECT_EQ(g.updated_at_us, 1000u);
+  EXPECT_TRUE(r.exhausted());
+  Writer w;
+  dat::core::write_global_value(w, g);
+  EXPECT_EQ(w.data(), wire);
+}
+
+TEST(CodecFuzzRegression, GlobalValueTruncatedTimestamp) {
+  // corpus: global_value_truncated.bin — AggState::of(3.0), epoch 7, then
+  // 4 of the 8 updated_at_us bytes.
+  Bytes wire = kScalarThree;
+  const Bytes tail{0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x01, 0x02, 0x03, 0x04};
+  wire.insert(wire.end(), tail.begin(), tail.end());
+  expect_body_rejected(wire, dat::core::read_global_value,
+                       DecodeErrorCode::kTruncated, 52,
+                       "global_value_truncated.bin");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include <memory>
+#include <vector>
 
 #include "harness/sim_cluster.hpp"
 
@@ -338,6 +339,84 @@ TEST_F(DatClusterTest, QueryUnknownKeyReturnsEmpty) {
       });
   cluster_->run_for(3'000'000);
   EXPECT_TRUE(done);
+}
+
+TEST_F(DatClusterTest, TruncatedBodiesAreDropped) {
+  ASSERT_TRUE(converged_);
+  const Id key = start_all(AggregateKind::kCount,
+                           [](std::size_t) { return 1.0; });
+  cluster_->run_for(5'000'000);
+
+  // An interior node (children below, a parent above) and one child of it,
+  // so every body below would change its state if it decoded.
+  std::size_t target = kNodes;
+  for (std::size_t i = 0; i < kNodes && target == kNodes; ++i) {
+    const DatNode& d = cluster_->dat(i);
+    if (d.child_count(key) > 0 && !d.latest(key)) target = i;
+  }
+  ASSERT_LT(target, kNodes);
+  const net::Endpoint target_ep = cluster_->node(target).self().endpoint;
+  std::size_t child = kNodes;
+  for (std::size_t i = 0; i < kNodes && child == kNodes; ++i) {
+    const auto parent =
+        cluster_->node(i).dat_parent(key, chord::RoutingScheme::kBalanced);
+    if (i != target && parent && parent->endpoint == target_ep) child = i;
+  }
+  ASSERT_LT(child, kNodes);
+  DatNode& dat = cluster_->dat(target);
+  const std::size_t children = dat.child_count(key);
+  const std::uint64_t pushed = dat.updates_sent(key);
+
+  // Sends `body` minus its last `cut` bytes as one-way `method`.
+  const auto send_cut = [&](net::RpcManager& rpc, const char* method,
+                            const net::Writer& body, std::size_t cut) {
+    std::vector<std::uint8_t> bytes = body.data();
+    bytes.resize(bytes.size() - cut);
+    rpc.send_one_way(target_ep, method, net::Writer(bytes));
+  };
+  // dat.update from a stranger, cut inside its AggState: adopted, it would
+  // add a child record.
+  net::Transport& stranger = cluster_->network().add_node();
+  net::RpcManager stranger_rpc(stranger);
+  net::Writer update;
+  update.u64(key);
+  update.u8(static_cast<std::uint8_t>(AggregateKind::kCount));
+  update.u8(static_cast<std::uint8_t>(chord::RoutingScheme::kBalanced));
+  chord::write_node_ref(update, {0x1234, stranger.local()});
+  write_agg_state(update, AggState::of(1.0));
+  send_cut(stranger_rpc, "dat.update", update, 5);
+  // dat.handoff cut inside its TTL: accepted, it would install an override.
+  net::Writer handoff;
+  handoff.u64(key);
+  chord::write_node_ref(handoff, cluster_->node(child).self());
+  handoff.u64(60'000'000);
+  send_cut(stranger_rpc, "dat.handoff", handoff, 3);
+  // dat.retract from a real child, cut inside its key: accepted, it would
+  // erase that child's record.
+  net::Writer retract;
+  retract.u64(key);
+  send_cut(cluster_->node(child).rpc(), "dat.retract", retract, 4);
+
+  const auto served = [&](const char* method) {
+    const auto& counts = cluster_->node(target).rpc().served_counts();
+    const auto it = counts.find(method);
+    return it == counts.end() ? 0 : it->second;
+  };
+  const std::uint64_t updates_before = served("dat.update");
+  const std::uint64_t handoffs_before = served("dat.handoff");
+  const std::uint64_t retracts_before = served("dat.retract");
+  cluster_->run_for(50'000);  // delivery, well inside one 200 ms epoch
+  EXPECT_GT(served("dat.update"), updates_before);
+  EXPECT_EQ(served("dat.handoff"), handoffs_before + 1);
+  EXPECT_EQ(served("dat.retract"), retracts_before + 1);
+  EXPECT_EQ(dat.child_count(key), children);
+  EXPECT_FALSE(dat.has_parent_override(key));
+
+  // The node keeps pushing on its next epochs.
+  cluster_->run_for(2 * 200'000);
+  EXPECT_GT(dat.updates_sent(key), pushed);
+  EXPECT_EQ(dat.child_count(key), children);
+  EXPECT_FALSE(dat.has_parent_override(key));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // datd building blocks: config file + flag parsing, the status wire
-// snapshot, the process-mode chaos plan, and the graceful-drain protocol
+// snapshot, the process chaos plan, and the graceful-drain protocol
 // (handoffs + retracts) that lets a daemon leave without losing or
 // double-counting its subtree.
 
@@ -17,7 +17,7 @@
 #include "datd/status.hpp"
 #include "dat/replicated.hpp"
 #include "harness/sim_cluster.hpp"
-#include "lb/drain.hpp"
+#include "lb/policy.hpp"
 
 namespace {
 
@@ -199,7 +199,6 @@ TEST(ProcessPlan, DeterministicPureFunctionOfSeed) {
   EXPECT_EQ(a.to_spec(), b.to_spec());
   const chaos::ChaosPlan c = chaos::ChaosPlan::process_canonical(8, 64);
   EXPECT_NE(a.to_spec(), c.to_spec());
-  EXPECT_TRUE(a.process_mode);
   EXPECT_THROW(chaos::ChaosPlan::process_canonical(7, 4),
                std::invalid_argument);
 }
@@ -238,12 +237,13 @@ TEST(ProcessPlan, SlotZeroNeverVictimAndKillMixMatches) {
 TEST(ProcessPlan, SpecRoundTripKeepsModeAndKillVerbs) {
   const chaos::ChaosPlan plan = chaos::ChaosPlan::process_canonical(5, 16);
   const std::string spec = plan.to_spec();
-  EXPECT_NE(spec.find("mode process"), std::string::npos);
   EXPECT_NE(spec.find("sigkill"), std::string::npos);
   EXPECT_NE(spec.find("sigterm"), std::string::npos);
   const chaos::ChaosPlan back = chaos::ChaosPlan::parse(spec);
-  EXPECT_TRUE(back.process_mode);
   EXPECT_EQ(back.to_spec(), spec);
+  // There is no deployment-mode header: any runner takes any plan.
+  EXPECT_THROW(chaos::ChaosPlan::parse("mode process\n"),
+               std::invalid_argument);
   EXPECT_THROW(chaos::ChaosPlan::parse("mode process\nmode sim\n"),
                std::invalid_argument);
   EXPECT_THROW(chaos::ChaosPlan::parse("mode bare-metal\n"),
@@ -317,7 +317,7 @@ TEST_F(DrainTest, DrainedNodeLeavesAggregateExactlyOnce) {
   // path: DAT drain (handoffs + retracts), then a clean Chord leave.
   std::size_t victim = root_slot(key) == 1 ? 2 : 1;
   const core::DatNode::DrainReport report =
-      lb::drain_node(cluster_->dat(victim), lb::PolicyOptions{});
+      cluster_->dat(victim).drain(lb::PolicyOptions{}.handoff_ttl_us);
   EXPECT_GE(report.keys, 1u);
   EXPECT_TRUE(cluster_->dat(victim).draining());
   cluster_->run_for(400'000);  // let handoffs + retracts land
@@ -352,7 +352,7 @@ TEST_F(DrainTest, RootDrainHandsSubtreeToSuccessor) {
   // point the children at, so the drain relays them to the successor —
   // the node that owns the key range once the root leaves.
   const std::size_t victim = root_slot(key);
-  (void)lb::drain_node(cluster_->dat(victim), lb::PolicyOptions{});
+  (void)cluster_->dat(victim).drain(lb::PolicyOptions{}.handoff_ttl_us);
   cluster_->run_for(400'000);
   aggs_[victim].reset();
   cluster_->remove_node(victim, /*graceful=*/true);
@@ -382,7 +382,7 @@ TEST_F(DrainTest, ReplicatedRootHandoffMidEpochKeepsExactAggregate) {
   // read (widest-coverage answer across replica roots) must recover the
   // exact post-departure aggregate.
   cluster_->run_for(100'000);
-  (void)lb::drain_node(cluster_->dat(root0), lb::PolicyOptions{});
+  (void)cluster_->dat(root0).drain(lb::PolicyOptions{}.handoff_ttl_us);
   cluster_->run_for(400'000);
   aggs_[root0].reset();
   cluster_->remove_node(root0, /*graceful=*/true);

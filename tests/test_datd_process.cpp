@@ -153,14 +153,13 @@ void expect_clean(const chaos::CampaignReport& report) {
   }
 }
 
-// A compressed process-mode plan: one SIGKILL, one restart, one SIGTERM
+// A compressed process plan: one SIGKILL, one restart, one SIGTERM
 // drain, verifies after each wave. Small enough for a unit-test budget but
 // it exercises every process action against real forked daemons.
 TEST(SupervisorProcess, MiniSoakMeetsSlos) {
   chaos::ChaosPlan plan;
   plan.seed = 11;
   plan.nodes = 8;
-  plan.process_mode = true;
   plan.verify(1'000'000);
   plan.sigkill(1'500'000, 3);
   plan.verify(6'000'000);
@@ -205,7 +204,6 @@ TEST(SupervisorProcess, SigabrtLeavesAnArchivedPostmortem) {
   chaos::ChaosPlan plan;
   plan.seed = 13;
   plan.nodes = 8;
-  plan.process_mode = true;
   plan.verify(1'000'000);
   plan.sigabrt(1'500'000, 2);
   plan.verify(8'000'000);

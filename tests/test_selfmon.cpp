@@ -326,7 +326,6 @@ TEST(SelfmonPlanTest, PureFunctionOfSeedAndSlotZeroSafe) {
 
 TEST(SelfmonPlanTest, ProcessVariantLeadsWithSigabrt) {
   const chaos::ChaosPlan plan = chaos::ChaosPlan::process_selfmon(9, 16);
-  EXPECT_TRUE(plan.process_mode);
   std::size_t sigabrts = 0;
   std::size_t sigkills = 0;
   bool first_fault_is_abort = false;

@@ -1,5 +1,6 @@
-// Fuzz harness for the wire codec: Message decoding plus the Reader
-// primitives, driven by arbitrary bytes. Built behind DAT_FUZZ.
+// Fuzz harness for the wire codec: Message decoding, the Reader primitives
+// and the DAT body decoders (read_agg_state, read_global_value), driven by
+// arbitrary bytes. Built behind DAT_FUZZ.
 //
 // Under Clang the target links libFuzzer (-fsanitize=fuzzer) and explores
 // inputs coverage-guided; under other compilers the same harness compiles
@@ -13,7 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "dat/aggregate.hpp"
 #include "net/transport.hpp"
 
 namespace {
@@ -56,6 +59,26 @@ void fuzz_message_decode(std::span<const std::uint8_t> data) {
   }
 }
 
+// A body decoder reachable from the network, held to the same round-trip
+// invariant as Message: whatever it accepts must re-encode to exactly the
+// bytes it consumed. Malformed input must end in a typed CodecError.
+template <typename Read, typename Write>
+void fuzz_body_decode(std::span<const std::uint8_t> data, Read read,
+                      Write write) {
+  dat::net::Reader r(data);
+  try {
+    const auto value = read(r);
+    dat::net::Writer w;
+    write(w, value);
+    const std::vector<std::uint8_t>& wire = w.data();
+    if (wire.size() != r.position() ||
+        !std::equal(wire.begin(), wire.end(), data.begin())) {
+      __builtin_trap();
+    }
+  } catch (const dat::net::CodecError&) {
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -63,6 +86,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::span<const std::uint8_t> input(data, size);
   fuzz_message_decode(input);
   fuzz_reader_primitives(input);
+  fuzz_body_decode(input, dat::core::read_agg_state,
+                   dat::core::write_agg_state);
+  fuzz_body_decode(input, dat::core::read_global_value,
+                   dat::core::write_global_value);
   return 0;
 }
 
