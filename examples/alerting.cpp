@@ -1,8 +1,17 @@
 // Alerting + fault tolerance, the "system diagnostics" consumer the paper's
 // introduction motivates: a 64-node Grid aggregates its load through THREE
-// replicated balanced-DAT trees; a ThresholdMonitor watches the global
-// average and raises alerts when a load storm pushes it over 85 %, and the
-// replicated query keeps answering through a root crash.
+// replicated balanced-DAT trees plus one plain tree; an SLO rule on node 0's
+// obs::SelfMonitor watches the plain tree's root and raises an alert when a
+// load storm pushes the global average over 85 %, and the replicated query
+// keeps answering through a root crash.
+//
+// The rule `hot cpu-usage-avg avg < 85 fire 1 clear 2` fires on the first
+// telemetry epoch over 85 % and clears only after two consecutive epochs
+// back under it: one alert per excursion, and one noisy reading cannot
+// flap it.
+//
+// Exits 1 unless it sees exactly two alert excursions (one per storm) and
+// the replicated query answers after the root crash.
 //
 // Run: ./build/examples/alerting
 
@@ -11,12 +20,13 @@
 #include <vector>
 
 #include "dat/replicated.hpp"
-#include "gma/threshold_monitor.hpp"
 #include "harness/sim_cluster.hpp"
+#include "obs/selfmon.hpp"
 
 int main() {
   using namespace dat;
   constexpr std::size_t kNodes = 64;
+  constexpr std::uint64_t kEpochUs = 1'000'000;
 
   harness::ClusterOptions options;
   options.seed = 99;
@@ -40,51 +50,59 @@ int main() {
       return base_load + jitter;
     });
   }
-  // Plain (single-tree) aggregate for the threshold monitor.
-  Id plain_key = 0;
+  // Plain (single-tree) aggregate the alert rule watches.
   for (std::size_t i = 0; i < kNodes; ++i) {
-    plain_key = cluster.dat(i).start_aggregate(
-        "cpu-usage-avg", core::AggregateKind::kAvg,
-        chord::RoutingScheme::kBalanced,
-        [&base_load]() { return base_load; });
+    cluster.dat(i).start_aggregate("cpu-usage-avg", core::AggregateKind::kAvg,
+                                   chord::RoutingScheme::kBalanced,
+                                   [&base_load]() { return base_load; });
   }
-  (void)plain_key;
   cluster.run_for(8'000'000);
 
-  gma::ThresholdMonitor::Options alert_options;
-  alert_options.trigger = 85.0;
-  alert_options.clear = 70.0;
-  alert_options.poll_interval_us = 1'000'000;
-  gma::ThresholdMonitor monitor(
-      cluster.dat(0), "cpu-usage-avg", alert_options,
-      [&](double value, const core::GlobalValue& global) {
-        std::printf("[t=%6.1fs]  ALERT: grid avg load %.1f%% over %llu hosts\n",
-                    cluster.engine().now() / 1e6, value,
-                    static_cast<unsigned long long>(global.state.count));
-      });
-  monitor.start();
+  obs::SelfMonitorOptions monitor_options;
+  monitor_options.epoch_us = kEpochUs;
+  monitor_options.rules =
+      obs::SloRuleset::parse("hot cpu-usage-avg avg < 85 fire 1 clear 2\n");
+  auto monitor = std::make_unique<obs::SelfMonitor>(cluster.dat(0),
+                                                    std::move(monitor_options));
+
+  // Poll the rule once per telemetry epoch and report its transitions.
+  bool firing = false;
+  unsigned excursions = 0;
+  const auto watch = [&](std::uint64_t duration_us) {
+    for (std::uint64_t t = 0; t < duration_us; t += kEpochUs) {
+      cluster.run_for(kEpochUs);
+      if (monitor->alert_firing("hot") == firing) continue;
+      firing = !firing;
+      if (firing) ++excursions;
+      std::printf("[t=%6.1fs]  %s: grid avg load %.1f%%\n",
+                  cluster.engine().now() / 1e6, firing ? "ALERT" : "clear",
+                  monitor->alerts().front().value);
+    }
+  };
 
   std::printf("\nphase 1: normal load (%.0f%%), no alerts expected\n",
               base_load);
-  cluster.run_for(10'000'000);
+  watch(10'000'000);
 
   std::printf("phase 2: load storm begins\n");
   base_load = 95.0;
-  cluster.run_for(10'000'000);
+  watch(10'000'000);
 
-  std::printf("phase 3: storm hovers at 80%% (inside hysteresis band)\n");
+  std::printf("phase 3: storm eases to 80%% (under the threshold), the alert "
+              "clears after two OK epochs\n");
   base_load = 80.0;
-  cluster.run_for(10'000'000);
+  watch(10'000'000);
 
-  std::printf("phase 4: recovery to 50%%, monitor re-arms\n");
+  std::printf("phase 4: recovery to 50%%\n");
   base_load = 50.0;
-  cluster.run_for(10'000'000);
+  watch(10'000'000);
 
   std::printf("phase 5: second storm\n");
   base_load = 92.0;
-  cluster.run_for(10'000'000);
-  std::printf("alerts fired: %llu (expected 2: one per storm)\n\n",
-              static_cast<unsigned long long>(monitor.alerts_fired()));
+  watch(10'000'000);
+  std::printf("alert excursions: %u (expected 2: one per storm)\n\n",
+              excursions);
+  monitor.reset();
 
   // Fault tolerance: crash the root of replica tree 0, query immediately.
   const Id victim_root =
@@ -101,12 +119,14 @@ int main() {
 
   const std::size_t reader = victim_slot == 0 ? 1 : 0;
   bool done = false;
+  bool answered = false;
   replicas[reader]->query([&](core::ReplicatedAggregate::Result result) {
     done = true;
     if (!result.best) {
       std::printf("replicated query found no root!\n");
       return;
     }
+    answered = true;
     std::printf("replicated query: %u/3 roots answered; best coverage %llu "
                 "hosts, avg %.1f%%\n",
                 result.roots_answered,
@@ -118,5 +138,5 @@ int main() {
     cluster.engine().run_steps(256);
   }
   replicas.clear();
-  return 0;
+  return excursions == 2 && answered ? 0 : 1;
 }

@@ -107,16 +107,6 @@ std::optional<std::string> AdminClient::metrics(net::Endpoint target,
   return std::nullopt;
 }
 
-std::optional<std::vector<obs::Alert>> AdminClient::alerts(
-    net::Endpoint target) {
-  return call<std::vector<obs::Alert>>(
-      target, "datd.alerts", net::Writer{},
-      [](net::Reader& r) -> std::optional<std::vector<obs::Alert>> {
-        if (!r.boolean()) return std::nullopt;
-        return obs::read_alerts(r);
-      });
-}
-
 std::optional<obs::SelfMonitor::FleetView> AdminClient::fleet(
     net::Endpoint target) {
   return call<obs::SelfMonitor::FleetView>(

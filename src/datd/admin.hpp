@@ -37,13 +37,9 @@ class AdminClient {
   [[nodiscard]] std::optional<std::string> metrics(net::Endpoint target,
                                                    obs::ExportFormat format);
 
-  /// `datd.alerts`: current SLO alert states. nullopt when the call failed
-  /// or self-monitoring is disabled on the target.
-  [[nodiscard]] std::optional<std::vector<obs::Alert>> alerts(
-      net::Endpoint target);
-
   /// `datd.fleet`: the target's cached fleet view (meta-tree roots plus
-  /// alerts). nullopt when the call failed or self-monitoring is disabled.
+  /// SLO alert states). nullopt when the call failed or self-monitoring is
+  /// disabled.
   [[nodiscard]] std::optional<obs::SelfMonitor::FleetView> fleet(
       net::Endpoint target);
 

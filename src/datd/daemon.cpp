@@ -49,7 +49,6 @@ Daemon::~Daemon() {
     node_->rpc().unregister_method("datd.metrics");
     node_->rpc().unregister_method("datd.leave");
     node_->rpc().unregister_method("datd.rebalance");
-    node_->rpc().unregister_method("datd.alerts");
     node_->rpc().unregister_method("datd.fleet");
   }
   if (postmortem_installed_) obs::Postmortem::uninstall();
@@ -259,12 +258,6 @@ void Daemon::register_admin_handlers() {
     reply.str(offset >= metrics_page_.size()
                   ? std::string()
                   : metrics_page_.substr(offset, chunk));
-  });
-  rpc.register_method("datd.alerts", [this](net::Endpoint, net::Reader&,
-                                            net::Writer& reply) {
-    reply.boolean(selfmon_ != nullptr);
-    obs::write_alerts(reply, selfmon_ ? selfmon_->alerts()
-                                      : std::vector<obs::Alert>{});
   });
   rpc.register_method("datd.fleet", [this](net::Endpoint, net::Reader&,
                                            net::Writer& reply) {

@@ -20,9 +20,9 @@ namespace dat::datd {
 /// One deployable DAT/Chord node: the object behind the `datd` binary. Owns
 /// a netio socket host, one chord node with its DAT layer and a
 /// ReplicatedAggregate workload, the admin RPC surface (`datd.status` /
-/// `datd.metrics` / `datd.leave` / `datd.rebalance` / `datd.alerts` /
-/// `datd.fleet`), the periodic metrics dump, the self-monitoring
-/// meta-trees and the crash postmortem hook.
+/// `datd.metrics` / `datd.leave` / `datd.rebalance` / `datd.fleet`, whose
+/// fleet view carries the SLO alert rows), the periodic metrics dump, the
+/// self-monitoring meta-trees and the crash postmortem hook.
 ///
 /// Lifecycle: construct → bootstrap() (create a ring or join one with
 /// capped decorrelated-jitter retry across the seed list) → run() until a

@@ -301,10 +301,10 @@ std::vector<std::vector<chaos::RootAnswer>> ProcessFleet::probe_roots(
 }
 
 std::optional<chaos::AlertReading> ProcessFleet::coverage_alert() {
-  const auto alerts = admin_.alerts(endpoint(probe_slot()));
-  if (!alerts) return std::nullopt;
+  const auto fleet = admin_.fleet(endpoint(probe_slot()));
+  if (!fleet) return std::nullopt;
   const bool firing = std::any_of(
-      alerts->begin(), alerts->end(), [](const obs::Alert& alert) {
+      fleet->alerts.begin(), fleet->alerts.end(), [](const obs::Alert& alert) {
         return alert.rule == "coverage" && alert.firing;
       });
   return chaos::AlertReading{firing, slots_.size(), kSelfmonEpochMs * 1000};

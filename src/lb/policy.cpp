@@ -7,6 +7,15 @@ namespace dat::lb {
 
 namespace {
 
+/// Identifier migrations run while the measured max/min adjacent-gap ratio
+/// exceeds this (probing keeps joined rings well under it).
+constexpr double kGapRatioThreshold = 4.0;
+/// Migrations per round. Each one is a leave + rejoin — disruptive, so a
+/// round moves one node at a time.
+constexpr std::size_t kMaxMigrations = 1;
+/// Gaps narrower than this are never split (microscopic id spaces).
+constexpr Id kMinGapToSplit = 64;
+
 struct GapView {
   Id max_gap = 0;
   Id min_gap = 0;
@@ -46,12 +55,12 @@ RebalancePlan plan_rebalance(const ClusterLoad& load, const IdSpace& space,
   std::vector<std::size_t> migrated_slots;
 
   // Identifier migrations: simulate each pick on a scratch id list so one
-  // round can plan several consistent moves when max_migrations allows.
+  // round could plan several consistent moves if kMaxMigrations allowed.
   std::vector<Id> ids = load.ids;  // sorted
-  while (plan.migrations.size() < options.max_migrations && ids.size() >= 3) {
+  while (plan.migrations.size() < kMaxMigrations && ids.size() >= 3) {
     const GapView gaps = scan_gaps(space, ids);
-    if (ratio_of(gaps) <= options.gap_ratio_threshold) break;
-    if (gaps.max_gap < options.min_gap_to_split || gaps.max_gap < 4) break;
+    if (ratio_of(gaps) <= kGapRatioThreshold) break;
+    if (gaps.max_gap < kMinGapToSplit || gaps.max_gap < 4) break;
     const Id gap_start = ids[gaps.max_index];
     const Id gap_end = ids[(gaps.max_index + 1) % ids.size()];
 

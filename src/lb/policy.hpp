@@ -13,16 +13,8 @@ struct PolicyOptions {
   /// than this gets the excess handed off to a relay child. The paper's
   /// balanced+probed trees sit at 4-5 (Fig. 7a), so 4 is the tight target.
   std::size_t max_branching = 4;
-  /// Identifier migrations run while the measured max/min adjacent-gap
-  /// ratio exceeds this (probing keeps joined rings well under it).
-  double gap_ratio_threshold = 4.0;
-  /// Migrations per round. Each one is a leave + rejoin — disruptive, so
-  /// rounds move one node at a time by default.
-  std::size_t max_migrations = 1;
   /// Child handoffs per round.
   std::size_t max_sheds = 4;
-  /// Gaps narrower than this are never split (microscopic id spaces).
-  Id min_gap_to_split = 64;
   /// Freshness of issued parent overrides. Handoffs are soft state: the
   /// rebalancer re-issues them every round it still measures the overflow,
   /// so the TTL only needs to outlive the measurement cadence.

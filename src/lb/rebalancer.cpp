@@ -80,9 +80,6 @@ RoundReport Rebalancer::run_round() {
       report.children_moved += moved;
     }
   }
-  if (options_.settle_us != 0 && !plan.empty()) {
-    fleet_.run_for(options_.settle_us);
-  }
 
   m_rounds_->inc();
   m_migrations_->inc(report.migrations);

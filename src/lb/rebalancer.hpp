@@ -17,9 +17,6 @@ struct RebalancerOptions {
   /// Base push period of the tracked aggregates; update_rate is normalized
   /// to updates per this interval.
   std::uint64_t epoch_us = 500'000;
-  /// Extra cluster time pumped after applying a plan, before the round
-  /// returns (lets the moved children re-home). 0 skips the settle.
-  std::uint64_t settle_us = 0;
 };
 
 /// What one measurement + decision + apply cycle did.

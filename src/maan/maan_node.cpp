@@ -14,6 +14,10 @@ constexpr const char* kRemove = "maan.remove";
 constexpr const char* kLookup = "maan.lookup";
 constexpr const char* kSweep = "maan.sweep";
 constexpr const char* kSweepResult = "maan.sweep_result";
+/// Query abandonment timeout while a range sweep is circulating.
+constexpr std::uint64_t kQueryTimeoutUs = 5'000'000;
+/// Safety cap on successor-sweep length (k in O(log n + k)).
+constexpr std::uint32_t kMaxSweepHops = 100'000;
 }  // namespace
 
 MaanNode::MaanNode(chord::Node& chord, const Schema& schema,
@@ -297,7 +301,7 @@ void MaanNode::start_sweep(const std::string& attr, double lo, double hi,
   PendingQuery pending;
   pending.handler = std::move(handler);
   pending.timer = chord_.rpc().transport().set_timer(
-      options_.query_timeout_us, [this, qid]() {
+      kQueryTimeoutUs, [this, qid]() {
         const auto it = pending_.find(qid);
         if (it == pending_.end()) return;
         QueryHandler h = std::move(it->second.handler);
@@ -414,7 +418,7 @@ void MaanNode::process_sweep(const std::string& attr, Id start_key,
   const bool can_forward =
       succ.valid() && succ.endpoint != chord_.rpc().local();
 
-  if (last_hop || !can_forward || hops >= options_.max_sweep_hops) {
+  if (last_hop || !can_forward || hops >= kMaxSweepHops) {
     net::Writer w;
     w.u64(qid);
     w.boolean(last_hop);

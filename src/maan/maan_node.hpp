@@ -17,10 +17,6 @@ struct MaanOptions {
   /// Stores derive a tight fixed budget from it — registrations are soft
   /// state that producers refresh periodically, so the refresh is the retry.
   net::RpcManager::Options rpc = net::RpcOptions::adaptive();
-  /// Query abandonment timeout while a range sweep is circulating.
-  std::uint64_t query_timeout_us = 5'000'000;
-  /// Safety cap on successor-sweep length (k in O(log n + k)).
-  std::uint32_t max_sweep_hops = 100'000;
   /// Registrations are soft state: entries older than this are dropped
   /// unless re-registered (producers refresh periodically). 0 disables
   /// expiry.

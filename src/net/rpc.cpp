@@ -12,6 +12,8 @@ namespace dat::net {
 namespace {
 // Reserved method name of error responses; the body is the exception text.
 constexpr const char* kErrorMethod = "$error";
+/// Cap on one retransmission backoff delay.
+constexpr std::uint64_t kBackoffCapUs = 2'000'000;
 
 // splitmix64: a tiny deterministic stream for backoff jitter. Kept local to
 // the RPC layer so retry timing never perturbs the protocol layers' seeded
@@ -39,7 +41,7 @@ std::uint64_t RpcOptions::max_total_us() const {
   std::uint64_t total = 0;
   for (unsigned k = 0; k < attempts; ++k) total += attempt_timeout_us(k);
   if (backoff_base_us > 0 && attempts > 1) {
-    total += static_cast<std::uint64_t>(attempts - 1) * backoff_cap_us;
+    total += static_cast<std::uint64_t>(attempts - 1) * kBackoffCapUs;
   }
   return total;
 }
@@ -197,7 +199,7 @@ void RpcManager::on_timeout(std::uint64_t request_id) {
       const std::uint64_t hi =
           std::max<std::uint64_t>(lo + 1, 3 * std::max(call.last_backoff_us, lo));
       std::uint64_t wait = lo + next_jitter(jitter_state_) % (hi - lo);
-      wait = std::min(wait, opts.backoff_cap_us);
+      wait = std::min(wait, kBackoffCapUs);
       call.last_backoff_us = wait;
       stats_.backoff_wait_us += wait;
       call.timer = transport_.set_timer(

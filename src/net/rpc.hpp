@@ -33,10 +33,9 @@ struct RpcOptions {
   /// 1.0 keeps the classic fixed timeout.
   double timeout_multiplier = 1.0;
   /// Delay inserted before each retransmission, grown with decorrelated
-  /// jitter: d_k = min(cap, uniform(base, 3 * d_{k-1})), d_0 = base.
+  /// jitter: d_k = min(2 s, uniform(base, 3 * d_{k-1})), d_0 = base.
   /// 0 disables the backoff delay (immediate retransmission).
   std::uint64_t backoff_base_us = 0;
-  std::uint64_t backoff_cap_us = 2'000'000;
 
   /// The adaptive retry profile used by the protocol layers' data-plane
   /// calls (lookups, queries, stores).

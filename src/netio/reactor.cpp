@@ -28,6 +28,10 @@ constexpr std::uint64_t kEventFdTag = 0;
 constexpr int kMaxEpollEvents = 64;
 /// Datagrams per sendmmsg call.
 constexpr unsigned kSendBatch = 64;
+/// Requested SO_RCVBUF per socket (the kernel caps it at rmem_max).
+constexpr int kSoRcvbuf = 1 << 22;
+/// Timer wheel size.
+constexpr std::size_t kTimerSlots = 256;
 
 std::uint64_t steady_now_us() {
   return static_cast<std::uint64_t>(
@@ -149,7 +153,7 @@ std::uint64_t NetioTransport::now_us() const { return reactor_.now_us(); }
 Reactor::Reactor(const ReactorOptions& options, std::uint64_t t0_steady_us)
     : options_(options),
       t0_us_(t0_steady_us != 0 ? t0_steady_us : steady_now_us()),
-      wheel_(options.timer_tick_us, options.timer_slots),
+      wheel_(options.timer_tick_us, kTimerSlots),
       arena_(options.max_datagram),
       scratch_(std::make_unique<Scratch>()) {
   if (options_.recv_batch == 0) {
@@ -256,11 +260,8 @@ NetioTransport& Reactor::do_add_socket(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
   if (fd < 0) throw_errno("socket");
-  if (options_.so_rcvbuf > 0) {
-    // Best-effort: the kernel silently caps at net.core.rmem_max.
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options_.so_rcvbuf,
-                 sizeof options_.so_rcvbuf);
-  }
+  // Best-effort: the kernel silently caps at net.core.rmem_max.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSoRcvbuf, sizeof kSoRcvbuf);
   if (port != 0) {
     // A pinned port belongs to a daemon restarting in place: let the new
     // socket rebind even while the dead incarnation's socket lingers.

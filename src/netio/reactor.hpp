@@ -39,12 +39,8 @@ struct ReactorOptions {
   /// covers the largest possible UDP payload; tests shrink it to exercise
   /// kernel truncation (MSG_TRUNC) handling.
   std::size_t max_datagram = 64 * 1024;
-  /// Requested SO_RCVBUF per socket (the kernel caps it at rmem_max);
-  /// 0 keeps the system default.
-  int so_rcvbuf = 1 << 22;
-  /// Timer wheel granularity and size.
+  /// Timer wheel granularity.
   std::uint64_t timer_tick_us = 1024;
-  std::size_t timer_slots = 256;
   /// Optional shared metrics registry (one per cluster/pool). When set, the
   /// reactor publishes its I/O counters as a snapshot-time collector and
   /// feeds a per-shard coalescer batch-size histogram — all series labeled

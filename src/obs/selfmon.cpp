@@ -109,6 +109,9 @@ std::optional<double> eval_stat(SloStat stat, const core::AggState& s,
 }
 
 constexpr std::uint32_t kMaxWireList = 256;
+/// A cached root view older than this many telemetry epochs is stale and
+/// skipped by rule evaluation.
+constexpr std::uint64_t kViewTtlEpochs = 4;
 
 }  // namespace
 
@@ -176,6 +179,13 @@ SloRuleset SloRuleset::parse(const std::string& text) {
       } else {
         throw std::invalid_argument("slo: unknown modifier \"" + word +
                                     "\" in \"" + line + "\"");
+      }
+    }
+    // A name keys the dat_slo_rule_firing gauge and alert_firing().
+    for (const SloRule& earlier : set.rules) {
+      if (earlier.name == rule.name) {
+        throw std::invalid_argument("slo: duplicate rule name \"" +
+                                    rule.name + "\"");
       }
     }
     set.rules.push_back(std::move(rule));
@@ -263,6 +273,24 @@ SelfMonitor::SelfMonitor(core::DatNode& dat, SelfMonitorOptions options)
   rule_states_.resize(rules_.size());
   publish_.resize(series_.size());
   views_.resize(series_.size());
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    views_[i].name = series_[i].name;
+    views_[i].kind = series_[i].kind;
+  }
+  // A rule reads its published series' view, else the watched root of the
+  // application tree it names (one view per distinct tree).
+  rule_views_.reserve(rules_.size());
+  for (const SloRule& rule : rules_) {
+    std::size_t v = 0;
+    while (v < views_.size() && views_[v].name != rule.series) ++v;
+    if (v >= series_.size() && rule.stat == SloStat::kValue) {
+      throw std::invalid_argument("slo: rule \"" + rule.name +
+                                  "\" reads the value of unpublished tree \"" +
+                                  rule.series + "\"");
+    }
+    if (v == views_.size()) views_.emplace_back().name = rule.series;
+    rule_views_.push_back(v);
+  }
 
   MetricsRegistry& reg = dat_.chord().telemetry().registry;
   m_ticks_ = &reg.counter("dat_selfmon_ticks_total");
@@ -278,14 +306,14 @@ SelfMonitor::SelfMonitor(core::DatNode& dat, SelfMonitorOptions options)
         &reg.gauge("dat_slo_rule_firing", {{"rule", rule.name}}));
   }
 
-  keys_.reserve(series_.size());
+  keys_.reserve(views_.size());
   for (std::size_t i = 0; i < series_.size(); ++i) {
-    views_[i].name = series_[i].name;
-    views_[i].kind = series_[i].kind;
-    const Id key = dat_.start_aggregate_state(
+    keys_.push_back(dat_.start_aggregate_state(
         tree_name(series_[i].name), series_[i].kind, options_.scheme,
-        [this, i] { return publish_state(i); }, options_.epoch_us);
-    keys_.push_back(key);
+        [this, i] { return publish_state(i); }, options_.epoch_us));
+  }
+  for (std::size_t i = series_.size(); i < views_.size(); ++i) {
+    keys_.push_back(core::rendezvous_key(views_[i].name, dat_.chord().space()));
   }
   alive_token_ = std::make_shared<bool>(true);
   arm_tick();
@@ -298,7 +326,9 @@ SelfMonitor::~SelfMonitor() {
   // The leaf closures capture `this`; drop the table entries before the
   // captures dangle. Peers' updates re-create passive relay entries as
   // needed.
-  for (const Id key : keys_) dat_.stop_aggregate(key);
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    dat_.stop_aggregate(keys_[i]);
+  }
 }
 
 void SelfMonitor::arm_tick() {
@@ -373,8 +403,7 @@ void SelfMonitor::tick() {
 }
 
 void SelfMonitor::evaluate(std::uint64_t now_us) {
-  const std::uint64_t ttl =
-      static_cast<std::uint64_t>(options_.view_ttl_epochs) * options_.epoch_us;
+  const std::uint64_t ttl = kViewTtlEpochs * options_.epoch_us;
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const SloRule& rule = rules_[i];
     RuleState& st = rule_states_[i];
@@ -382,19 +411,12 @@ void SelfMonitor::evaluate(std::uint64_t now_us) {
     const double threshold = rule.threshold_is_fleet
                                  ? static_cast<double>(options_.fleet_size)
                                  : rule.threshold;
-    const SeriesView* view = nullptr;
-    for (const SeriesView& v : views_) {
-      if (v.name == rule.series) {
-        view = &v;
-        break;
-      }
-    }
-    if (view == nullptr || view->fetched_at_us == 0 ||
-        now_us - view->fetched_at_us > ttl) {
+    const SeriesView& view = views_[rule_views_[i]];
+    if (view.fetched_at_us == 0 || now_us - view.fetched_at_us > ttl) {
       continue;  // no fresh root data; hold the current alert state
     }
     const std::optional<double> value =
-        eval_stat(rule.stat, view->state, view->kind);
+        eval_stat(rule.stat, view.state, view.kind);
     if (!value.has_value()) continue;
     m_evaluations_->inc();
     st.evaluated = true;
@@ -419,7 +441,8 @@ void SelfMonitor::evaluate(std::uint64_t now_us) {
   std::int64_t firing = 0;
   for (const RuleState& st : rule_states_) firing += st.firing ? 1 : 0;
   m_alerts_firing_->set(firing);
-  for (const SeriesView& v : views_) {
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    const SeriesView& v = views_[i];
     if (v.name == "nodes" && v.fetched_at_us != 0) {
       m_coverage_->set(static_cast<std::int64_t>(v.state.count));
     }
@@ -457,7 +480,7 @@ SelfMonitor::FleetView SelfMonitor::view() const {
   out.now_us = dat_.chord().rpc().transport().now_us();
   out.fleet_size = options_.fleet_size;
   out.epoch_us = options_.epoch_us;
-  out.series = views_;
+  out.series.assign(views_.begin(), views_.begin() + series_.size());
   for (std::size_t i = 0; i < out.series.size(); ++i) {
     out.series[i].local_children =
         static_cast<std::uint32_t>(dat_.child_count(keys_[i]));

@@ -14,9 +14,10 @@ namespace dat::obs {
 
 // -- SLO rules ----------------------------------------------------------------
 
-/// Statistic a rule reads off a meta-tree root's AggState.
+/// Statistic a rule reads off a tree root's AggState.
 enum class SloStat : std::uint8_t {
   kValue = 0,  ///< AggState::result under the series' aggregate kind
+               ///< (published selfmon series only)
   kSum = 1,
   kCount = 2,
   kMin = 3,
@@ -43,6 +44,8 @@ enum class SloOp : std::uint8_t {
 /// (e.g. `p99(rpc.latency) < 500000`); the alert fires after `fire_epochs`
 /// consecutive breaches and clears after `clear_epochs` consecutive OKs —
 /// the hysteresis that keeps one noisy epoch from flapping the alert.
+/// `series` names a published selfmon series; any other name watches the
+/// application aggregate of that attribute (e.g. `avg(cpu-usage) < 85`).
 struct SloRule {
   std::string name;
   std::string series;
@@ -69,7 +72,8 @@ struct SloRuleset {
   std::vector<SloRule> rules;
 
   [[nodiscard]] static SloRuleset defaults();
-  /// Parses the text format; throws std::invalid_argument on a bad line.
+  /// Parses the text format; throws std::invalid_argument on a bad line or
+  /// a repeated rule name.
   [[nodiscard]] static SloRuleset parse(const std::string& text);
   [[nodiscard]] std::string to_spec() const;
 };
@@ -112,9 +116,6 @@ struct SelfMonitorOptions {
   SloRuleset rules;
   /// Empty = SelfMonitor::default_series().
   std::vector<SelfMonSeries> series;
-  /// A fleet-view entry older than this many epochs is reported stale and
-  /// skipped by rule evaluation.
-  unsigned view_ttl_epochs = 4;
 };
 
 /// Self-monitoring of the monitoring system (the tentpole of the paper's
@@ -123,10 +124,13 @@ struct SelfMonitorOptions {
 /// so ANY single node can answer fleet-wide health queries in O(log N)
 /// routed hops — no scrape-everyone collector. Each telemetry epoch the
 /// node also refreshes a cached fleet view by querying the meta-tree roots
-/// and evaluates the SLO ruleset against it, firing/clearing alerts that
-/// the `datd.alerts` admin RPC (and the supervisor's SLO gates) surface.
+/// (and the root of every application tree a rule watches) and evaluates
+/// the SLO ruleset against it, firing/clearing alerts that the `datd.fleet`
+/// admin RPC (and the chaos campaign's SLO gates) surface.
 class SelfMonitor {
  public:
+  /// Throws std::invalid_argument when a rule reads the `value` stat of a
+  /// watched application tree: its aggregate kind is unknown here.
   SelfMonitor(core::DatNode& dat, SelfMonitorOptions options);
   ~SelfMonitor();
 
@@ -169,8 +173,8 @@ class SelfMonitor {
   [[nodiscard]] bool alert_firing(const std::string& rule) const;
 
   /// One telemetry epoch, exposed for tests: refresh the published leaf
-  /// states, query every meta-tree root, evaluate the ruleset. Runs
-  /// automatically on the transport timer.
+  /// states, query every meta-tree and watched root, evaluate the ruleset.
+  /// Runs automatically on the transport timer.
   void tick();
 
   [[nodiscard]] const SelfMonitorOptions& options() const noexcept {
@@ -202,11 +206,14 @@ class SelfMonitor {
   core::DatNode& dat_;
   SelfMonitorOptions options_;
   std::vector<SelfMonSeries> series_;
+  /// Root keys and cached root views: one per published series, then one
+  /// per watched application tree (published nothing, kept out of view()).
   std::vector<Id> keys_;
+  std::vector<SeriesView> views_;
   std::vector<core::AggState> publish_;  ///< cached leaf states
   std::uint64_t publish_refreshed_us_ = 0;
-  std::vector<SeriesView> views_;
   std::vector<SloRule> rules_;
+  std::vector<std::size_t> rule_views_;  ///< index into views_ per rule
   std::vector<RuleState> rule_states_;
   net::TimerId timer_ = 0;
   bool alive_ = true;

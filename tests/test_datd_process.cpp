@@ -311,7 +311,6 @@ TEST(DatdScrape, AlertsAndFleetAnswerOnANodeWithSelfmonDisabled) {
   datd::AdminClient admin(2'000'000);
   ASSERT_TRUE(daemon.wait_up(admin));
   // Well-formed "not enabled" answers, not timeouts.
-  EXPECT_FALSE(admin.alerts(daemon.endpoint()).has_value());
   EXPECT_FALSE(admin.fleet(daemon.endpoint()).has_value());
 }
 

@@ -196,6 +196,9 @@ TEST(SloRulesetTest, ParseRejectsMalformedRules) {
                std::invalid_argument);
   EXPECT_THROW((void)obs::SloRuleset::parse("r s count < 1 fire 0\n"),
                std::invalid_argument);
+  EXPECT_THROW(
+      (void)obs::SloRuleset::parse("r s count < 1\nr t count > 2\n"),
+      std::invalid_argument);
 }
 
 // -- wire formats -------------------------------------------------------------
@@ -467,6 +470,49 @@ TEST(SelfMonitorSimTest, CoverageAlertFiresWhenNodesCrash) {
   EXPECT_TRUE(alerts.front().firing);
   EXPECT_LT(alerts.front().value, static_cast<double>(kNodes));
   EXPECT_GT(alerts.front().breaches, 0u);
+}
+
+TEST(SelfMonitorSimTest, OneRulesetWatchesSelfmonSeriesAndApplicationTrees) {
+  constexpr std::size_t kNodes = 8;
+  harness::ClusterOptions options = selfmon_cluster_options(41);
+  options.selfmon.rules = obs::SloRuleset::parse(
+      "coverage nodes count == fleet\n"
+      "hot load avg < 90 fire 1 clear 2\n");
+  harness::SimCluster cluster(kNodes, std::move(options));
+  ASSERT_TRUE(cluster.wait_converged(600'000'000));
+  double load = 50.0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    cluster.dat(i).start_aggregate("load", core::AggregateKind::kAvg,
+                                   chord::RoutingScheme::kBalanced,
+                                   [&load] { return load; });
+  }
+  cluster.run_for(4'000'000);
+
+  obs::SelfMonitor* monitor = cluster.selfmon(0);
+  ASSERT_NE(monitor, nullptr);
+  const std::vector<obs::Alert> alerts = monitor->alerts();
+  ASSERT_EQ(alerts.size(), 2u);
+  // The selfmon-series rule reads its meta-tree...
+  EXPECT_DOUBLE_EQ(alerts[0].value, static_cast<double>(kNodes));
+  EXPECT_FALSE(alerts[0].firing);
+  // ... and the application-tree rule reads the watched "load" root.
+  EXPECT_EQ(alerts[1].series, "load");
+  EXPECT_DOUBLE_EQ(alerts[1].value, 50.0);
+  EXPECT_FALSE(alerts[1].firing);
+  // The watched tree is not a published series: the fleet view is as
+  // before.
+  const obs::SelfMonitor::FleetView view = monitor->view();
+  EXPECT_EQ(view.find("load"), nullptr);
+  EXPECT_EQ(view.series.size(), obs::SelfMonitor::default_series().size());
+
+  load = 95.0;
+  bool fired = false;
+  for (int epoch = 0; epoch < 20 && !fired; ++epoch) {
+    cluster.run_for(monitor->options().epoch_us);
+    fired = monitor->alert_firing("hot");
+  }
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(monitor->alert_firing("coverage"));
 }
 
 TEST(SelfmonCampaignTest, AlertFiresDuringKillWaveAndClearsAfterRecovery) {

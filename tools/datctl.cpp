@@ -443,6 +443,21 @@ int cmd_rebalance(CliFlags& flags) {
   return 0;
 }
 
+/// The SLO alert table shared by `top` and `remote alerts`.
+void print_alerts(const std::vector<obs::Alert>& alerts) {
+  if (alerts.empty()) {
+    std::printf("alerts: (no rules)\n");
+    return;
+  }
+  std::printf("alerts:\n");
+  for (const obs::Alert& a : alerts) {
+    std::printf("  %-12s %-7s value=%.1f threshold=%.1f breaches=%llu\n",
+                a.rule.c_str(), a.firing ? "FIRING" : "clear", a.value,
+                a.threshold,
+                static_cast<unsigned long long>(a.breaches));
+  }
+}
+
 void render_fleet_view(const obs::SelfMonitor::FleetView& view,
                        const obs::SelfMonitor::FleetView* prev) {
   const auto* nodes = view.find("nodes");
@@ -491,17 +506,7 @@ void render_fleet_view(const obs::SelfMonitor::FleetView& view,
                 core::to_string(s.kind), value, rate,
                 static_cast<unsigned long long>(s.state.count), age);
   }
-  if (view.alerts.empty()) {
-    std::printf("alerts: (no rules)\n");
-    return;
-  }
-  std::printf("alerts:\n");
-  for (const obs::Alert& a : view.alerts) {
-    std::printf("  %-12s %-7s value=%.1f threshold=%.1f breaches=%llu\n",
-                a.rule.c_str(), a.firing ? "FIRING" : "clear", a.value,
-                a.threshold,
-                static_cast<unsigned long long>(a.breaches));
-  }
+  print_alerts(view.alerts);
 }
 
 int cmd_top(CliFlags& flags) {
@@ -701,18 +706,13 @@ int cmd_remote(CliFlags& flags) {
     return 0;
   }
   if (op == "alerts") {
-    const auto alerts = admin.alerts(target);
-    if (!alerts) {
+    const auto fleet = admin.fleet(target);
+    if (!fleet) {
       std::fprintf(stderr, "remote: %s has no self-monitor or did not answer\n",
                    target_text.c_str());
       return 1;
     }
-    for (const obs::Alert& a : *alerts) {
-      std::printf("%-12s %-7s value=%.1f threshold=%.1f breaches=%llu\n",
-                  a.rule.c_str(), a.firing ? "FIRING" : "clear", a.value,
-                  a.threshold, static_cast<unsigned long long>(a.breaches));
-    }
-    if (alerts->empty()) std::printf("(no rules)\n");
+    print_alerts(fleet->alerts);
     return 0;
   }
   if (op == "leave") {
