@@ -206,10 +206,8 @@ int main(int argc, char** argv) {
       .put("max_rounds", kMaxRounds)
       .put("slo_max_branching", static_cast<std::uint64_t>(kSloBranching))
       .put("id_assignment", "random");
-  benchjson::Object root;
-  root.put("suite", "lb_convergence")
-      .put("git_sha", DAT_GIT_SHA)
-      .put("config", config)
+  benchjson::Object root = benchjson::envelope("lb_convergence");
+  root.put("config", config)
       .put("results", rows)
       .put("all_converged", all_converged);
   const std::string path = benchjson::write_suite("lb", root);

@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) of the hot paths underneath the
-// experiments: SHA-1 hashing, wire codec round-trips, routing next-hop
-// selection, full tree construction, and the event queue. Results also land
-// in BENCH_micro.json (google-benchmark's JSON schema, tagged with the git
-// sha) for CI artifact archival.
+// experiments: SHA-1 hashing, wire codec round-trips, the dat.update frame
+// (encode, decode, RPC dispatch), routing next-hop selection, full tree
+// construction, and the event queue. The codec and frame entries also
+// report heap allocations per operation (allocs_per_op). Results land in
+// BENCH_micro.json (google-benchmark's JSON schema, tagged with the git
+// sha, build type and core count) for CI artifact archival.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "chord/id_assignment.hpp"
@@ -17,13 +23,88 @@
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
 #include "dat/tree.hpp"
+#include "dat/wire.hpp"
+#include "net/rpc.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 
+// Every operator new in this binary bumps one counter, so a benchmark can
+// report its heap allocations per operation.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, like the deletes below: inlined, the compiler would see
+// free() meet a pointer it knows came from operator new.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace {
 
 using namespace dat;
+
+/// Runs the benchmark loop body `op` and records allocs_per_op.
+template <typename Op>
+void run_counting_allocations(benchmark::State& state, Op op) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) op();
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          before),
+      benchmark::Counter::kAvgIterations);
+}
+
+/// A MIN-tree update as a 64-node fleet with 32-bit ids sends it.
+core::UpdateBody sample_update() {
+  core::AggState state = core::AggState::of(1.5e6);
+  for (int i = 0; i < 11; ++i) state.merge(core::AggState::of(1.6e6));
+  return core::UpdateBody{0x9abcdef0, core::AggregateKind::kMin, 1,
+                          0x12345678, state};
+}
+
+/// Encodes the sample update as a one-way dat.update frame into `frame`,
+/// through the retained `body` buffer — the send path's steps.
+void encode_update_frame(const core::UpdateBody& update,
+                         std::vector<std::uint8_t>& body,
+                         std::vector<std::uint8_t>& frame) {
+  body.clear();
+  net::Writer w(body);
+  core::write_update(w, update);
+  net::Message msg;
+  msg.method = net::method_id("dat.update");
+  msg.body = body;
+  msg.encode_into(frame);
+}
+
+/// A transport that sends nowhere and hands inbound frames straight to its
+/// receive handler: RPC dispatch with no network underneath.
+class DirectTransport final : public net::Transport {
+ public:
+  [[nodiscard]] net::Endpoint local() const override { return 1; }
+  void send(net::Endpoint, const net::Message&) override {}
+  void set_receive_handler(ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  net::TimerId set_timer(std::uint64_t, std::function<void()>) override {
+    return 0;
+  }
+  void cancel_timer(net::TimerId) override {}
+  [[nodiscard]] std::uint64_t now_us() const override { return 0; }
+  void deliver(net::Endpoint from, const net::Message& msg) {
+    handler_(from, msg);
+  }
+
+ private:
+  ReceiveHandler handler_;
+};
 
 void BM_Sha1HashToId(benchmark::State& state) {
   const IdSpace space(32);
@@ -36,21 +117,66 @@ void BM_Sha1HashToId(benchmark::State& state) {
 BENCHMARK(BM_Sha1HashToId);
 
 void BM_MessageCodecRoundTrip(benchmark::State& state) {
-  net::Message msg;
-  msg.method = "chord.lookup_step";
-  msg.kind = net::MessageKind::kRequest;
-  msg.request_id = 77;
   net::Writer w;
   w.u64(123456789);
   w.f64(3.14);
   w.str("payload-payload-payload");
-  msg.body = w.take();
-  for (auto _ : state) {
-    const auto wire = msg.encode();
+  net::Message msg;
+  msg.method = net::method_id("chord.lookup_step");
+  msg.kind = net::MessageKind::kRequest;
+  msg.request_id = 77;
+  msg.body = w.data();
+  std::vector<std::uint8_t> wire;
+  run_counting_allocations(state, [&] {
+    msg.encode_into(wire);
     benchmark::DoNotOptimize(net::Message::decode(wire));
-  }
+  });
 }
 BENCHMARK(BM_MessageCodecRoundTrip);
+
+void BM_UpdateFrameEncode(benchmark::State& state) {
+  const core::UpdateBody update = sample_update();
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> frame;
+  run_counting_allocations(state, [&] {
+    encode_update_frame(update, body, frame);
+    benchmark::DoNotOptimize(frame.data());
+  });
+  state.counters["frame_bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_UpdateFrameEncode);
+
+void BM_UpdateFrameDecode(benchmark::State& state) {
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> frame;
+  encode_update_frame(sample_update(), body, frame);
+  run_counting_allocations(state, [&] {
+    const net::MessageDecodeResult decoded = net::Message::try_decode(frame);
+    net::Reader r(decoded.message->body);
+    benchmark::DoNotOptimize(core::read_update(r));
+  });
+}
+BENCHMARK(BM_UpdateFrameDecode);
+
+void BM_UpdateFrameDispatch(benchmark::State& state) {
+  // Decode, look the method id up in RpcManager's table and run a handler
+  // that reads the update and keeps its state, as DatNode does.
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> frame;
+  encode_update_frame(sample_update(), body, frame);
+  DirectTransport transport;
+  net::RpcManager rpc(transport);
+  core::AggState kept;
+  rpc.register_one_way("dat.update", [&kept](net::Endpoint, net::Reader& r) {
+    kept = core::read_update(r).state;
+  });
+  run_counting_allocations(state, [&] {
+    const net::MessageDecodeResult decoded = net::Message::try_decode(frame);
+    transport.deliver(2, *decoded.message);
+  });
+  benchmark::DoNotOptimize(kept);
+}
+BENCHMARK(BM_UpdateFrameDispatch);
 
 void BM_NextHopBalanced(benchmark::State& state) {
   const IdSpace space(32);
@@ -123,10 +249,16 @@ BENCHMARK(BM_EventQueueChurn);
 #ifndef DAT_GIT_SHA
 #define DAT_GIT_SHA "unknown"
 #endif
+#ifndef DAT_BUILD_TYPE
+#define DAT_BUILD_TYPE "unknown"
+#endif
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("git_sha", DAT_GIT_SHA);
   benchmark::AddCustomContext("suite", "micro");
+  benchmark::AddCustomContext("build_type", DAT_BUILD_TYPE);
+  benchmark::AddCustomContext(
+      "nproc", std::to_string(std::thread::hardware_concurrency()));
   // Default the JSON artifact on (console output stays untouched); an
   // explicit --benchmark_out on the command line wins.
   std::vector<char*> args(argv, argv + argc);

@@ -21,9 +21,6 @@
 #include "net/rpc.hpp"
 #include "netio/reactor_pool.hpp"
 
-#ifndef DAT_GIT_SHA
-#define DAT_GIT_SHA "unknown"
-#endif
 
 namespace {
 
@@ -269,10 +266,8 @@ int main(int argc, char** argv) {
   std::vector<benchjson::Object> rows;
   rows.reserve(results.size());
   for (const RunResult& r : results) rows.push_back(to_json(r));
-  benchjson::Object root;
-  root.put("suite", "netio_throughput")
-      .put("git_sha", DAT_GIT_SHA)
-      .put("config", config)
+  benchjson::Object root = benchjson::envelope("netio_throughput");
+  root.put("config", config)
       .put("results", rows)
       .put("best", best.name)
       .put("speedup_best_vs_1shard_raw", speedup);

@@ -2,16 +2,26 @@
 
 // Minimal machine-readable output for the plain-main() benchmarks: an
 // ordered JSON object builder plus the BENCH_<suite>.json writing
-// convention (suite name, git sha, config, metrics) shared by CI's
-// perf-smoke job and EXPERIMENTS.md. google-benchmark binaries use their
-// own JSONReporter instead; this is for the harness-style benches.
+// convention (suite name, git sha, build type, core count, config,
+// metrics) shared by CI's perf-smoke job and EXPERIMENTS.md.
+// google-benchmark binaries use their own JSONReporter instead (bench_micro
+// adds the same envelope fields to its context); this is for the
+// harness-style benches.
 
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#ifndef DAT_GIT_SHA
+#define DAT_GIT_SHA "unknown"
+#endif
+#ifndef DAT_BUILD_TYPE
+#define DAT_BUILD_TYPE "unknown"
+#endif
 
 namespace dat::benchjson {
 
@@ -89,6 +99,17 @@ class Object {
 
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// The fields every BENCH_<suite>.json opens with: which suite, commit and
+/// build type produced it, on how many cores.
+inline Object envelope(const std::string& suite) {
+  Object root;
+  root.put("suite", suite)
+      .put("git_sha", DAT_GIT_SHA)
+      .put("build_type", DAT_BUILD_TYPE)
+      .put("nproc", std::thread::hardware_concurrency());
+  return root;
+}
 
 /// Writes `BENCH_<suite>.json` into the working directory; returns the path.
 inline std::string write_suite(const std::string& suite, const Object& root) {

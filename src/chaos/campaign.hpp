@@ -39,7 +39,9 @@ struct CampaignOptions {
   /// reader keeps the widest-coverage answer across the replica roots.
   std::string aggregate = "cpu-usage";
   unsigned replicas = 3;
-  core::AggregateKind kind = core::AggregateKind::kCount;
+  /// SUM: the coverage and exactness probes read both count and sum off
+  /// the roots, and a SUM tree's updates carry both (core::shape_of).
+  core::AggregateKind kind = core::AggregateKind::kSum;
   chord::RoutingScheme scheme = chord::RoutingScheme::kBalanced;
 
   /// Settle window run before each verification.

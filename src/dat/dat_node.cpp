@@ -6,6 +6,7 @@
 
 #include "common/logging.hpp"
 #include "common/sha1.hpp"
+#include "dat/wire.hpp"
 
 namespace dat::core {
 
@@ -19,6 +20,24 @@ constexpr const char* kCollectStart = "dat.collect_start";
 constexpr const char* kCollectReq = "dat.collect_req";
 constexpr const char* kHandoff = "dat.handoff";
 constexpr const char* kRetract = "dat.retract";
+constexpr net::MethodId kUpdateId = net::method_id(kUpdate);
+
+/// Head sampling of aggregation-wave traces: a leaf starts a traced wave on
+/// one epoch in this many (Dapper-style), so tracing costs 16 frame bytes
+/// on one update in 16 instead of on every one.
+constexpr std::uint64_t kWaveSampleEvery = 16;
+
+/// The sampling draw: a deterministic hash of (key, epoch, node id), so a
+/// simulated run traces the same waves every time and leaves of one tree
+/// start their waves on different epochs.
+bool wave_sampled(Id key, std::uint64_t epoch, Id self) noexcept {
+  std::uint64_t z = key * 0x9E3779B97F4A7C15ull ^ epoch * 0xC2B2AE3D27D4EB4Full ^
+                    self * 0x165667B19E3779F9ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  return z % kWaveSampleEvery == 0;
+}
 
 std::string key_label(Id key) {
   char buf[19];  // "0x" + 16 hex digits + NUL
@@ -362,9 +381,7 @@ void DatNode::send_handoff(net::Endpoint to, Id key,
                            const chord::NodeRef& relay,
                            std::uint64_t ttl_us) {
   net::Writer w;
-  w.u64(key);
-  chord::write_node_ref(w, relay);
-  w.u64(ttl_us);
+  write_handoff(w, HandoffBody{key, relay, ttl_us});
   chord_.rpc().send_one_way(to, kHandoff, w);
 }
 
@@ -417,41 +434,41 @@ void DatNode::run_epoch(Id key) {
   }
   entry.last_parent = push_to.endpoint;
 
-  // Causal wave: a leaf (no traced child update seen this epoch) starts a
-  // fresh trace; an interior node continues the wave stored by
-  // handle_update, chaining its send span onto the child's.
+  // Causal wave, head-sampled: an interior node continues the wave of a
+  // traced child (stored by handle_update), chaining its send span onto the
+  // child's; a leaf starts a fresh wave on one epoch in kWaveSampleEvery;
+  // anything else sends untraced.
   std::uint64_t trace_id = entry.wave_trace_id;
-  std::uint64_t parent_span = entry.wave_parent_span;
-  if (trace_id == 0) {
-    trace_id = tel.recorder.new_trace_id();
-    parent_span = 0;
-  }
+  const std::uint64_t parent_span = entry.wave_parent_span;
   entry.wave_trace_id = 0;
   entry.wave_parent_span = 0;
-  const std::uint64_t send_span = record_wave_span(
-      "dat.update.send", trace_id, parent_span, entry, now, push_to.endpoint);
-
-  net::Writer w;
-  w.u64(key);
-  w.u8(static_cast<std::uint8_t>(entry.kind));
-  w.u8(static_cast<std::uint8_t>(entry.scheme));
-  chord::write_node_ref(w, chord_.self());
-  write_agg_state(w, state);
-  {
-    // Scoped so RpcManager stamps {trace, send span} onto the wire frame.
-    const obs::TraceContext::Scope scope(tel.trace, trace_id, send_span);
-    chord_.rpc().send_one_way(push_to.endpoint, kUpdate, w);
+  if (trace_id == 0 && entry.children.empty() &&
+      wave_sampled(key, entry.epoch, chord_.id())) {
+    trace_id = tel.recorder.new_trace_id();
   }
+
+  // Encoded into the retained buffer and handed to the transport as a view:
+  // a steady-state push allocates nothing here.
+  send_buf_.clear();
+  net::Writer w(send_buf_);
+  write_update(w, UpdateBody{key, entry.kind,
+                             static_cast<std::uint8_t>(entry.scheme),
+                             chord_.id(), state});
+  std::optional<obs::TraceContext::Scope> scope;
+  if (trace_id != 0) {
+    // Scoped so RpcManager stamps {trace, send span} onto the wire frame.
+    scope.emplace(tel.trace, trace_id,
+                  record_wave_span("dat.update.send", trace_id, parent_span,
+                                   entry, now, push_to.endpoint));
+  }
+  chord_.rpc().send_one_way(push_to.endpoint, kUpdateId, send_buf_);
   ++entry.updates_sent;
   m_updates_out_->inc();
 }
 
 void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
-  const Id key = msg.u64();
-  const AggregateKind kind = aggregate_kind_from(msg.u8());
-  const std::uint8_t raw_scheme = msg.u8();
-  const chord::NodeRef sender = chord::read_node_ref(msg);
-  const AggState state = read_agg_state(msg);
+  const UpdateBody update = read_update(msg);
+  const Id key = update.key;
 
   auto it = table_.find(key);
   if (it == table_.end()) {
@@ -462,10 +479,10 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
     // First sighting of this tree: create a passive (relay-only) entry so
     // the aggregate flows through us — the paper's "adds a new entry in the
     // aggregation table" on first contact with an aggregate.
-    const auto scheme = raw_scheme <= 1
-                            ? static_cast<chord::RoutingScheme>(raw_scheme)
+    const auto scheme = update.scheme <= 1
+                            ? static_cast<chord::RoutingScheme>(update.scheme)
                             : chord::RoutingScheme::kBalanced;
-    start_aggregate(key, kind, scheme, nullptr);
+    start_aggregate(key, update.kind, scheme, nullptr);
     it = table_.find(key);
     m_relay_entries_->inc();
   }
@@ -483,8 +500,8 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
     return;
   }
   ChildRecord& rec = entry.children[from];
-  rec.ref = sender;
-  rec.state = state;
+  rec.ref = chord::NodeRef{update.sender, from};
+  rec.state = update.state;
   rec.received_at_us = chord_.rpc().transport().now_us();
 
   // Cycle breaker for load-balancing handoffs: if our designated relay is
@@ -716,10 +733,8 @@ bool DatNode::override_live(const Entry& entry, std::uint64_t now) const {
 }
 
 void DatNode::handle_handoff(net::Endpoint /*from*/, net::Reader& msg) {
-  const Id key = msg.u64();
-  const chord::NodeRef relay = chord::read_node_ref(msg);
-  const std::uint64_t ttl_us = msg.u64();
-  set_parent_override(key, relay, ttl_us);
+  const HandoffBody handoff = read_handoff(msg);
+  set_parent_override(handoff.key, handoff.relay, handoff.ttl_us);
 }
 
 // -- graceful drain -----------------------------------------------------------
@@ -799,7 +814,7 @@ DatNode::DrainReport DatNode::drain(std::uint64_t ttl_us) {
     if (entry.last_parent != net::kNullEndpoint &&
         entry.last_parent != chord_.rpc().local()) {
       net::Writer w;
-      w.u64(key);
+      write_retract(w, key);
       chord_.rpc().send_one_way(entry.last_parent, kRetract, w);
       ++report.retracts_sent;
       m_retracts_out_->inc();
@@ -809,7 +824,7 @@ DatNode::DrainReport DatNode::drain(std::uint64_t ttl_us) {
 }
 
 void DatNode::handle_retract(net::Endpoint from, net::Reader& msg) {
-  const Id key = msg.u64();
+  const Id key = read_retract(msg);
   const auto it = table_.find(key);
   if (it == table_.end()) return;
   if (it->second.children.erase(from) > 0) {

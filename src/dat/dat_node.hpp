@@ -224,8 +224,8 @@ class DatNode {
     // Causal-wave trace state: set by handle_update when a traced child
     // update arrives (the child's send span becomes our parent span),
     // consumed and cleared by the next run_epoch so the outgoing update
-    // continues the child's trace — one aggregation wave is then one span
-    // chain climbing the tree from a leaf to the root.
+    // continues the child's trace — one sampled aggregation wave is then
+    // one span chain climbing the tree from a leaf to the root.
     std::uint64_t wave_trace_id = 0;
     std::uint64_t wave_parent_span = 0;
     // Last parent this entry pushed to; a change means Chord re-parented us
@@ -335,6 +335,8 @@ class DatNode {
   DatOptions options_;
   std::unordered_map<Id, Entry> table_;  // the paper's aggregation table
   std::unordered_map<std::uint64_t, PendingSnapshot> snapshots_;
+  /// dat.update encoding buffer; keeps its capacity across pushes.
+  std::vector<std::uint8_t> send_buf_;
   std::uint64_t next_seq_ = 1;
   bool alive_ = true;
   bool draining_ = false;

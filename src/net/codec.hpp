@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -17,7 +18,8 @@ enum class DecodeErrorCode : std::uint8_t {
   kTruncated = 0,     ///< a field extends past the end of the buffer
   kBadKind = 1,       ///< unknown MessageKind discriminator
   kTrailingBytes = 2, ///< well-formed prefix followed by extra bytes
-  kLengthOverflow = 3 ///< a length prefix exceeds representable bounds
+  kLengthOverflow = 3, ///< a length prefix exceeds representable bounds
+  kNonCanonical = 4    ///< redundant bytes: an overlong varint, an empty pair
 };
 
 [[nodiscard]] constexpr const char* to_string(DecodeErrorCode code) noexcept {
@@ -26,6 +28,7 @@ enum class DecodeErrorCode : std::uint8_t {
     case DecodeErrorCode::kBadKind: return "bad-kind";
     case DecodeErrorCode::kTrailingBytes: return "trailing-bytes";
     case DecodeErrorCode::kLengthOverflow: return "length-overflow";
+    case DecodeErrorCode::kNonCanonical: return "non-canonical";
   }
   return "?";
 }
@@ -61,9 +64,17 @@ class CodecError : public std::runtime_error {
   DecodeError error_;
 };
 
-/// Append-only binary writer, little-endian fixed-width integers plus
-/// length-prefixed byte strings. This is the wire format of the paper's
-/// "RPC manager ... at the socket-level to send and receive UDP packets".
+/// Bytes of the LEB128 varint encoding of `v`: 1 below 128, at most 10.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Append-only binary writer: little-endian fixed-width integers, LEB128
+/// varints and length-prefixed byte strings. This is the wire format of the
+/// paper's "RPC manager ... at the socket-level to send and receive UDP
+/// packets".
 ///
 /// Two modes: the default constructor owns its buffer (retrieve with
 /// take()); the reference constructor appends into a caller-provided
@@ -89,6 +100,18 @@ class Writer {
   }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
+
+  /// LEB128 varint: 7 bits per byte, low group first.
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) u8(static_cast<std::uint8_t>(v | 0x80));
+    u8(static_cast<std::uint8_t>(v));
+  }
+
+  /// Appends `s` as is, without a length prefix (a frame's trailing body).
+  void raw(std::span<const std::uint8_t> s) {
+    // datlint:allow(hot-path): appends into a capacity-retained buffer
+    buf_.insert(buf_.end(), s.begin(), s.end());
+  }
 
   /// Length-prefixed (u32) byte string.
   void str(std::string_view s) {
@@ -124,9 +147,11 @@ class Writer {
  private:
   template <typename T>
   void put_le(T v) {
+    const std::size_t at = buf_.size();
+    // datlint:allow(hot-path): appends into a capacity-retained buffer
+    buf_.resize(at + sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      // datlint:allow(hot-path): appends into a capacity-retained buffer
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 
@@ -157,6 +182,56 @@ class Reader {
 
   bool boolean() { return u8() != 0; }
 
+  /// LEB128 varint. Only the shortest encoding is accepted (a last byte
+  /// of zero after the first is overlong, a tenth byte above 1 overflows),
+  /// so every accepted varint re-encodes to the same bytes.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    if (const auto error = try_varint(v)) throw CodecError(*error);
+    return v;
+  }
+
+  /// varint() without throwing, for parsers that report errors as values
+  /// (the batch container). The position advances only on success.
+  [[nodiscard]] std::optional<DecodeError> try_varint(
+      std::uint64_t& out) noexcept {
+    std::uint64_t v = 0;
+    std::size_t at = pos_;
+    for (unsigned shift = 0;; shift += 7) {
+      if (at >= data_.size()) {
+        return DecodeError{DecodeErrorCode::kTruncated, at};
+      }
+      const std::uint8_t b = data_[at++];
+      if (shift == 63 && b > 1) {
+        return DecodeError{DecodeErrorCode::kLengthOverflow, pos_};
+      }
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0) {
+          return DecodeError{DecodeErrorCode::kNonCanonical, pos_};
+        }
+        out = v;
+        pos_ = at;
+        return std::nullopt;
+      }
+    }
+  }
+
+  /// Consumes the next `n` bytes and returns them as a view (no copy).
+  std::span<const std::uint8_t> slice(std::size_t n) {
+    require(n);
+    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  /// Consumes every remaining byte and returns them as a view (no copy).
+  std::span<const std::uint8_t> rest() noexcept {
+    const std::span<const std::uint8_t> out = data_.subspan(pos_);
+    pos_ = data_.size();
+    return out;
+  }
+
   std::string str() {
     const std::uint32_t len = u32();
     require(len);
@@ -181,6 +256,13 @@ class Reader {
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
+
+  /// Throws kTrailingBytes unless every byte has been consumed: a body
+  /// decoder calls it so that only the exact encoding is accepted.
+  void expect_end() const {
+    if (!exhausted()) throw CodecError({DecodeErrorCode::kTrailingBytes, pos_});
+  }
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
   }

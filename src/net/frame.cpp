@@ -14,42 +14,9 @@ void begin_batch(std::vector<std::uint8_t>& dgram) {
 
 void append_batch_frame(std::vector<std::uint8_t>& dgram,
                         std::span<const std::uint8_t> frame) {
-  if (frame.size() > UINT32_MAX) {
-    throw CodecError({DecodeErrorCode::kLengthOverflow, dgram.size()},
-                     "append_batch_frame");
-  }
-  const auto len = static_cast<std::uint32_t>(frame.size());
-  for (std::size_t i = 0; i < sizeof len; ++i) {
-    // datlint:allow(hot-path): appends into an arena-pooled buffer
-    dgram.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  // datlint:allow(hot-path): appends into an arena-pooled buffer
-  dgram.insert(dgram.end(), frame.begin(), frame.end());
-}
-
-std::optional<DecodeError> split_batch(
-    std::span<const std::uint8_t> dgram,
-    const std::function<void(std::span<const std::uint8_t>)>& on_frame) {
-  if (!is_batch_datagram(dgram)) {
-    return DecodeError{DecodeErrorCode::kBadKind, 0};
-  }
-  std::size_t pos = kBatchHeaderBytes;
-  while (pos < dgram.size()) {
-    if (dgram.size() - pos < kBatchFrameOverheadBytes) {
-      return DecodeError{DecodeErrorCode::kTruncated, pos};
-    }
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < sizeof len; ++i) {
-      len |= static_cast<std::uint32_t>(dgram[pos + i]) << (8 * i);
-    }
-    pos += kBatchFrameOverheadBytes;
-    if (len > dgram.size() - pos) {
-      return DecodeError{DecodeErrorCode::kTruncated, pos};
-    }
-    on_frame(dgram.subspan(pos, len));
-    pos += len;
-  }
-  return std::nullopt;
+  Writer w(dgram);
+  w.varint(frame.size());
+  w.raw(frame);
 }
 
 }  // namespace dat::net

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -10,8 +12,6 @@
 namespace dat::net {
 
 namespace {
-// Reserved method name of error responses; the body is the exception text.
-constexpr const char* kErrorMethod = "$error";
 /// Cap on one retransmission backoff delay.
 constexpr std::uint64_t kBackoffCapUs = 2'000'000;
 
@@ -127,35 +127,74 @@ void RpcManager::stamp_trace(Message& msg) const {
   }
 }
 
+std::vector<RpcManager::MethodSlot>::iterator RpcManager::lower_slot(
+    MethodId id) noexcept {
+  return std::lower_bound(
+      methods_.begin(), methods_.end(), id,
+      [](const MethodSlot& slot, MethodId want) { return slot.id < want; });
+}
+
+RpcManager::MethodSlot* RpcManager::find_method(MethodId id) noexcept {
+  const auto it = lower_slot(id);
+  return it != methods_.end() && it->id == id ? &*it : nullptr;
+}
+
+RpcManager::MethodSlot& RpcManager::slot_for(std::string name) {
+  const MethodId id = method_id(name);
+  const auto at = lower_slot(id);
+  if (at != methods_.end() && at->id == id) {
+    if (at->name != name) {
+      throw std::invalid_argument("rpc: method \"" + name +
+                                  "\" collides with \"" + at->name +
+                                  "\" on wire id " + std::to_string(id));
+    }
+    return *at;
+  }
+  MethodSlot slot;
+  slot.id = id;
+  slot.name = std::move(name);
+  return *methods_.insert(at, std::move(slot));
+}
+
 void RpcManager::register_method(std::string method, MethodHandler handler) {
-  methods_[std::move(method)] = std::move(handler);
+  slot_for(std::move(method)).request = std::move(handler);
 }
 
 void RpcManager::register_one_way(std::string method, OneWayHandler handler) {
-  one_ways_[std::move(method)] = std::move(handler);
+  slot_for(std::move(method)).one_way = std::move(handler);
 }
 
-void RpcManager::unregister_method(const std::string& method) {
-  methods_.erase(method);
+void RpcManager::unregister_method(std::string_view method) {
+  MethodSlot* slot = find_method(method_id(method));
+  if (slot != nullptr && slot->name == method) slot->request = nullptr;
 }
 
-void RpcManager::unregister_one_way(const std::string& method) {
-  one_ways_.erase(method);
+void RpcManager::unregister_one_way(std::string_view method) {
+  MethodSlot* slot = find_method(method_id(method));
+  if (slot != nullptr && slot->name == method) slot->one_way = nullptr;
 }
 
-void RpcManager::call(Endpoint to, const std::string& method,
-                      const Writer& body, ResponseHandler handler,
-                      Options options) {
+std::unordered_map<std::string, std::uint64_t> RpcManager::served_counts()
+    const {
+  std::unordered_map<std::string, std::uint64_t> counts;
+  for (const MethodSlot& slot : methods_) {
+    if (slot.served > 0) counts.emplace(slot.name, slot.served);
+  }
+  return counts;
+}
+
+void RpcManager::call(Endpoint to, std::string_view method, const Writer& body,
+                      ResponseHandler handler, Options options) {
   const std::uint64_t id = next_request_id_++;
   Message req;
   req.kind = MessageKind::kRequest;
   req.request_id = id;
-  req.method = method;
+  req.method = method_id(method);
   req.body = body.data();
   stamp_trace(req);
 
-  PendingCall call{to,      std::move(req), std::move(handler), options,
-                   options.attempts, 0,     0,                  0,
+  PendingCall call{to,      OwnedMessage(req), std::move(handler), options,
+                   options.attempts, 0,        0,                  0,
                    transport_.now_us()};
   auto [it, inserted] = pending_.emplace(id, std::move(call));
   (void)inserted;
@@ -166,12 +205,17 @@ void RpcManager::call(Endpoint to, const std::string& method,
   arm_timer(id);
 }
 
-void RpcManager::send_one_way(Endpoint to, const std::string& method,
+void RpcManager::send_one_way(Endpoint to, std::string_view method,
                               const Writer& body) {
+  send_one_way(to, method_id(method), body.data());
+}
+
+void RpcManager::send_one_way(Endpoint to, MethodId method,
+                              std::span<const std::uint8_t> body) {
   Message msg;
   msg.kind = MessageKind::kOneWay;
   msg.method = method;
-  msg.body = body.data();
+  msg.body = body;
   stamp_trace(msg);
   transport_.send(to, msg);
 }
@@ -247,20 +291,23 @@ void RpcManager::on_message(Endpoint from, const Message& msg) {
       on_response(msg);
       return;
     case MessageKind::kOneWay: {
-      const auto it = one_ways_.find(msg.method);
-      if (it == one_ways_.end()) {
+      MethodSlot* slot = find_method(msg.method);
+      if (slot == nullptr || !slot->one_way) {
         // Unknown methods are attacker-reachable per datagram; the level
         // gate is computed in-branch so the dispatch happy path pays nothing.
         const bool log_debug = Logger::instance().enabled(LogLevel::kDebug);
         if (log_debug) {
-          DAT_LOG_DEBUG("rpc", "unknown one-way method " << msg.method);
+          DAT_LOG_DEBUG("rpc", "unknown one-way method id " << msg.method);
         }
         return;
       }
-      ++served_[msg.method];
+      ++slot->served;
       Reader r(msg.body);
       try {
-        it->second(from, r);
+        // Called through a copy: the handler may register methods, which
+        // moves the table, or tear down this manager.
+        const OneWayHandler handler = slot->one_way;
+        handler(from, r);
       } catch (const std::exception& e) {
         const bool log_warn = Logger::instance().enabled(LogLevel::kWarn);
         if (log_warn) {
@@ -281,29 +328,30 @@ void RpcManager::on_request(Endpoint from, const Message& msg) {
   // same causal context (even when this node has no telemetry attached).
   reply.trace = msg.trace;
 
-  const auto it = methods_.find(msg.method);
-  if (it == methods_.end()) {
-    reply.method = kErrorMethod;
-    Writer w;
-    w.str("unknown method: " + msg.method);
-    reply.body = w.take();
-    transport_.send(from, reply);
-    return;
+  // Encode into the retained reply buffer. A handler that re-enters
+  // on_request finds it moved out and grows its own.
+  std::vector<std::uint8_t> buf = std::move(reply_buf_);
+  buf.clear();
+  Writer out(buf);
+  MethodSlot* slot = find_method(msg.method);
+  if (slot == nullptr || !slot->request) {
+    reply.error = true;
+    out.str("unknown method id " + std::to_string(msg.method));
+  } else {
+    ++slot->served;
+    Reader req(msg.body);
+    try {
+      const MethodHandler handler = slot->request;
+      handler(from, req, out);
+    } catch (const std::exception& e) {
+      reply.error = true;
+      buf.clear();
+      out.str(e.what());
+    }
   }
-  ++served_[msg.method];
-  Reader req(msg.body);
-  Writer out;
-  try {
-    it->second(from, req, out);
-    reply.method = msg.method;
-    reply.body = out.take();
-  } catch (const std::exception& e) {
-    reply.method = kErrorMethod;
-    Writer w;
-    w.str(e.what());
-    reply.body = w.take();
-  }
+  reply.body = buf;
   transport_.send(from, reply);
+  reply_buf_ = std::move(buf);
 }
 
 void RpcManager::on_response(const Message& msg) {
@@ -319,7 +367,7 @@ void RpcManager::on_response(const Message& msg) {
   ResponseHandler handler = std::move(it->second.handler);
   pending_.erase(it);
   Reader r(msg.body);
-  if (msg.method == kErrorMethod) {
+  if (msg.error) {
     ++stats_.remote_errors;
     if (handler) handler(RpcStatus::kRemoteError, r);
   } else {

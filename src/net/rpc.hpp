@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -121,23 +123,31 @@ class RpcManager {
   RpcManager& operator=(const RpcManager&) = delete;
 
   /// Registers the server-side handler for `method`. Replaces any previous
-  /// registration.
+  /// registration of the same name; throws std::invalid_argument when a
+  /// different name already holds the same MethodId.
   void register_method(std::string method, MethodHandler handler);
   void register_one_way(std::string method, OneWayHandler handler);
 
-  /// Drops the handler for `method`; later requests get kUnknownMethod (or
-  /// are ignored, for one-ways). A layer that dies before its transport
-  /// must unregister, or queued messages dispatch into freed memory.
-  void unregister_method(const std::string& method);
-  void unregister_one_way(const std::string& method);
+  /// Drops the handler for `method`; later requests get an unknown-method
+  /// error (or are ignored, for one-ways). A layer that dies before its
+  /// transport must unregister, or queued messages dispatch into freed
+  /// memory.
+  void unregister_method(std::string_view method);
+  void unregister_one_way(std::string_view method);
 
   /// Issues a request. The handler fires exactly once, possibly re-entrantly
   /// from within the transport's event loop.
-  void call(Endpoint to, const std::string& method, const Writer& body,
+  /// The pending call keeps its own copy of the request for retransmits.
+  void call(Endpoint to, std::string_view method, const Writer& body,
             ResponseHandler handler, Options options = Options());
 
   /// Fire-and-forget message.
-  void send_one_way(Endpoint to, const std::string& method, const Writer& body);
+  void send_one_way(Endpoint to, std::string_view method, const Writer& body);
+  /// The same, by precomputed id: the body is handed to the transport as a
+  /// view, so a sender that encodes into a retained buffer (DatNode's
+  /// update path) sends without allocating.
+  void send_one_way(Endpoint to, MethodId method,
+                    std::span<const std::uint8_t> body);
 
   [[nodiscard]] Transport& transport() noexcept { return transport_; }
   [[nodiscard]] Endpoint local() const { return transport_.local(); }
@@ -145,11 +155,10 @@ class RpcManager {
   /// Number of requests currently awaiting a response.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
 
-  /// Per-method counters of requests served (diagnostics / experiments).
-  [[nodiscard]] const std::unordered_map<std::string, std::uint64_t>&
-  served_counts() const noexcept {
-    return served_;
-  }
+  /// Per-method counters of requests and one-ways served, by method name
+  /// (diagnostics / experiments). Built on call from the per-id counters.
+  [[nodiscard]] std::unordered_map<std::string, std::uint64_t> served_counts()
+      const;
 
   /// Client-side retry accounting since construction (or the last reset).
   [[nodiscard]] const RpcStats& stats() const noexcept { return stats_; }
@@ -167,9 +176,19 @@ class RpcManager {
   }
 
  private:
+  /// One registered method name: its wire id, both handler slots (a name
+  /// may be served as a request, a one-way, or both) and its served count.
+  struct MethodSlot {
+    MethodId id = 0;
+    std::string name;
+    MethodHandler request;
+    OneWayHandler one_way;
+    std::uint64_t served = 0;
+  };
+
   struct PendingCall {
     Endpoint to;
-    Message request;
+    OwnedMessage request;
     ResponseHandler handler;
     Options options;
     unsigned attempts_left;
@@ -178,6 +197,14 @@ class RpcManager {
     TimerId timer = 0;
     std::uint64_t issued_at_us = 0;  ///< call() time, for end-to-end latency
   };
+
+  /// First slot whose id is not below `id`; methods_ is sorted by id.
+  [[nodiscard]] std::vector<MethodSlot>::iterator lower_slot(
+      MethodId id) noexcept;
+  /// The slot of `id`, or nullptr.
+  [[nodiscard]] MethodSlot* find_method(MethodId id) noexcept;
+  /// The slot of `name`, created on first registration.
+  MethodSlot& slot_for(std::string name);
 
   void on_message(Endpoint from, const Message& msg);
   void on_request(Endpoint from, const Message& msg);
@@ -196,10 +223,11 @@ class RpcManager {
   /// dat_rpc_latency_us while telemetry is attached. Borrowed from the
   /// registry's deque, so the pointer stays valid for the bundle's lifetime.
   obs::Histogram* m_latency_ = nullptr;
-  std::unordered_map<std::string, MethodHandler> methods_;
-  std::unordered_map<std::string, OneWayHandler> one_ways_;
+  /// Dispatch table, sorted by MethodId: a binary search per inbound frame.
+  std::vector<MethodSlot> methods_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
-  std::unordered_map<std::string, std::uint64_t> served_;
+  /// Reply encoding buffer; keeps its capacity across requests.
+  std::vector<std::uint8_t> reply_buf_;
   RpcStats stats_;
   /// Jitter source for decorrelated backoff; seeded from the local endpoint
   /// so simulated runs stay deterministic per node.

@@ -53,7 +53,7 @@ void SimNetwork::set_partitioned(Endpoint ep, bool partitioned) {
   }
 }
 
-void SimNetwork::route(Endpoint from, Endpoint to, Message msg) {
+void SimNetwork::route(Endpoint from, Endpoint to, const Message& msg) {
   // Hoisted level gate (one relaxed load per message instead of one per log
   // site): route() is the simulator's hottest path, and under configured
   // loss the drop branch fires at traffic rate.
@@ -65,8 +65,9 @@ void SimNetwork::route(Endpoint from, Endpoint to, Message msg) {
       (loss_rate_ > 0.0 && engine_.rng().next_double() < loss_rate_)) {
     ++dropped_;
     if (log_debug) {
-      DAT_LOG_DEBUG("sim", "dropped " << msg.method << " " << from << " -> "
-                                      << to << " (loss/partition)");
+      DAT_LOG_DEBUG("sim", "dropped method " << msg.method << " " << from
+                                             << " -> " << to
+                                             << " (loss/partition)");
     }
     return;
   }
@@ -76,18 +77,19 @@ void SimNetwork::route(Endpoint from, Endpoint to, Message msg) {
                                           latency_multiplier_);
   }
   engine_.schedule_after(delay, [this, from, to, log_debug,
-                                 m = std::move(msg)]() {
+                                 m = OwnedMessage(msg)]() {
     const auto it = nodes_.find(to);
     if (it == nodes_.end()) {
       ++dropped_;
       if (log_debug) {
-        DAT_LOG_DEBUG("sim", "dropped " << m.method << " " << from << " -> "
-                                        << to << " (endpoint gone)");
+        DAT_LOG_DEBUG("sim", "dropped method " << m.method << " " << from
+                                               << " -> " << to
+                                               << " (endpoint gone)");
       }
       return;
     }
     ++delivered_;
-    it->second->deliver(from, m);
+    it->second->deliver(from, m.view());
   });
 }
 

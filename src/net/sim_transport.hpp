@@ -62,7 +62,8 @@ class SimNetwork {
 
  private:
   friend class SimTransport;
-  void route(Endpoint from, Endpoint to, Message msg);
+  /// Copies the message: the network owns its bytes while it is in flight.
+  void route(Endpoint from, Endpoint to, const Message& msg);
 
   sim::Engine& engine_;
   std::unordered_map<Endpoint, std::unique_ptr<SimTransport>> nodes_;

@@ -3,7 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "net/codec.hpp"
@@ -24,20 +25,34 @@ enum class MessageKind : std::uint8_t { kRequest = 0, kResponse = 1, kOneWay = 2
 
 struct MessageDecodeResult;
 
-/// Frame extension area marker. A message may carry optional extensions
-/// after the body: the byte 0xE7 followed by (tag, u8 length, payload)
-/// records. Decoders skip unknown tags, so new extensions stay
-/// backward-compatible; a frame without the marker is byte-identical to
-/// the pre-extension format, so old peers interoperate unchanged. Any
-/// trailing byte other than the marker is still rejected as kTrailingBytes.
-inline constexpr std::uint8_t kFrameExtMagic = 0xE7;
-/// Extension tag: causal trace correlation, payload = u64 trace id + u64
-/// span id (16 bytes).
-inline constexpr std::uint8_t kFrameExtTraceTag = 0x01;
+/// Wire id of an RPC method: a 16-bit FNV-1a of its name (the 32-bit hash
+/// folded in half). Both ends derive it from the name alone, so nodes that
+/// register different method subsets still agree on every id without a
+/// negotiated table. RpcManager::register_* reject a second name that
+/// hashes to an id already taken.
+using MethodId = std::uint16_t;
 
-/// Causal trace correlation carried in the frame extension area: which
-/// trace this message belongs to and which span on the sender caused it
-/// (obs layer flight recorders stitch these into cross-node traces).
+[[nodiscard]] constexpr MethodId method_id(std::string_view name) noexcept {
+  std::uint32_t h = 2166136261u;
+  for (const char c : name) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 16777619u;
+  }
+  return static_cast<MethodId>((h >> 16) ^ (h & 0xffffu));
+}
+
+/// Leading byte of a frame: the MessageKind in the low two bits plus flag
+/// bits. Every other bit is reserved and must be zero, so a frame's first
+/// byte is at most 0xC2 and never the batch container's 0xB7 magic.
+inline constexpr std::uint8_t kFrameKindMask = 0x03;
+/// Response flag: the remote handler failed; the body is its error text.
+inline constexpr std::uint8_t kFrameErrorFlag = 0x40;
+/// Trace flag: the 16 bytes of WireTrace follow the header.
+inline constexpr std::uint8_t kFrameTraceFlag = 0x80;
+
+/// Causal trace correlation carried in the frame header: which trace this
+/// message belongs to and which span on the sender caused it (obs layer
+/// flight recorders stitch these into cross-node traces).
 struct WireTrace {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
@@ -45,16 +60,22 @@ struct WireTrace {
   friend bool operator==(const WireTrace&, const WireTrace&) = default;
 };
 
-/// A single datagram: method name, correlation id, kind, body, plus
-/// optional frame extensions (trace correlation).
+/// One datagram frame, as a view: the body points into a buffer the caller
+/// owns (the sender's scratch buffer, the received datagram). Wire layout:
+///
+///   u8 kind|flags  [u16 method id]  [varint request_id]  [u64 trace_id
+///   u64 span_id]  body...
+///
+/// Requests and one-ways carry the method id; requests and responses carry
+/// the request id; the trace ids follow only under kFrameTraceFlag. The
+/// body is the rest of the frame, with no length prefix.
 struct Message {
-  std::string method;
-  std::uint64_t request_id = 0;
   MessageKind kind = MessageKind::kOneWay;
-  std::vector<std::uint8_t> body;
-  /// When set, encode() appends the trace extension; decode() fills it
-  /// from the wire. Absent on untraced messages (and the encoding is then
-  /// byte-identical to the pre-extension wire format).
+  MethodId method = 0;           ///< requests and one-ways
+  std::uint64_t request_id = 0;  ///< requests and responses
+  bool error = false;            ///< responses: the remote handler threw
+  std::span<const std::uint8_t> body;
+  /// When set, the frame carries the trace flag and ids.
   std::optional<WireTrace> trace;
 
   /// Flat wire encoding of the whole message.
@@ -65,10 +86,11 @@ struct Message {
   /// scratch or arena buffer that lives across messages.
   void encode_into(std::vector<std::uint8_t>& out) const;
 
-  /// Parses a datagram; throws CodecError on malformed input.
+  /// Parses a frame; throws CodecError on malformed input. The result views
+  /// `wire`, which must outlive it.
   [[nodiscard]] static Message decode(std::span<const std::uint8_t> wire);
 
-  /// Parses a datagram without throwing: malformed input yields the typed
+  /// Parses a frame without throwing: malformed input yields the typed
   /// DecodeError instead. This is the entry point for untrusted bytes (the
   /// UDP receive path).
   [[nodiscard]] static MessageDecodeResult try_decode(
@@ -85,6 +107,33 @@ struct MessageDecodeResult {
 
   [[nodiscard]] bool ok() const noexcept { return message.has_value(); }
   [[nodiscard]] Message& value() { return *message; }
+};
+
+/// A Message that owns its body: what outlives the sender's buffer (a
+/// datagram in flight in the simulator, a pending call kept for
+/// retransmits, a test fixture). view() lends it out as a Message.
+struct OwnedMessage {
+  MessageKind kind = MessageKind::kOneWay;
+  MethodId method = 0;
+  std::uint64_t request_id = 0;
+  bool error = false;
+  std::vector<std::uint8_t> body;
+  std::optional<WireTrace> trace;
+
+  OwnedMessage() = default;
+  explicit OwnedMessage(const Message& m)
+      : kind(m.kind),
+        method(m.method),
+        request_id(m.request_id),
+        error(m.error),
+        body(m.body.begin(), m.body.end()),
+        trace(m.trace) {}
+
+  [[nodiscard]] Message view() const noexcept {
+    return Message{kind, method, request_id, error, body, trace};
+  }
+  // Implicit, so an OwnedMessage passes wherever a Message is taken.
+  operator Message() const noexcept { return view(); }
 };
 
 /// Per-transport traffic accounting. The load-balancing evaluation

@@ -401,15 +401,28 @@ void Reactor::enqueue_send(NetioTransport& t, net::Endpoint to,
     pd.frames = 1;
     t.outq_.push_back(std::move(pd));
   } else {
-    auto [it, inserted] = t.open_.try_emplace(to);
-    NetioTransport::PendingDatagram& pd = it->second;
+    auto it = std::find_if(
+        t.open_.begin(), t.open_.end(),
+        [to](const NetioTransport::PendingDatagram& open) {
+          return open.to == to;
+        });
+    if (it == t.open_.end()) {
+      t.open_.push_back(NetioTransport::PendingDatagram{});
+      it = std::prev(t.open_.end());
+    }
+    NetioTransport::PendingDatagram& pd = *it;
     if (pd.frames > 0) {
-      // Seal the open datagram if this frame would overflow it.
+      // Seal the open datagram if this frame would overflow it. A lone
+      // frame travels raw, so the second one pays for the container header
+      // and both length prefixes.
       const std::size_t projected =
           pd.frames == 1
-              ? net::kBatchHeaderBytes + 2 * net::kBatchFrameOverheadBytes +
-                    pd.bytes.size() + frame.size()
-              : pd.bytes.size() + net::kBatchFrameOverheadBytes + frame.size();
+              ? net::kBatchHeaderBytes +
+                    net::batch_frame_overhead(pd.bytes.size()) +
+                    pd.bytes.size() + net::batch_frame_overhead(frame.size()) +
+                    frame.size()
+              : pd.bytes.size() + net::batch_frame_overhead(frame.size()) +
+                    frame.size();
       if (projected > options_.max_datagram) {
         t.outq_.push_back(std::move(pd));
         pd = NetioTransport::PendingDatagram{};
@@ -443,7 +456,7 @@ void Reactor::enqueue_send(NetioTransport& t, net::Endpoint to,
 }
 
 void Reactor::seal_open_datagrams(NetioTransport& t) {
-  for (auto& [to, pd] : t.open_) {
+  for (auto& pd : t.open_) {
     if (pd.frames > 0) t.outq_.push_back(std::move(pd));
   }
   t.open_.clear();
@@ -554,9 +567,9 @@ void Reactor::flush_transport(NetioTransport& t) {
 void Reactor::flush_all() {
   // flush_transport clears flush_queued_; swap first so sends enqueued by
   // error paths during the flush re-queue cleanly for the next round.
-  std::vector<NetioTransport*> list;
-  list.swap(flush_list_);
-  for (NetioTransport* t : list) flush_transport(*t);
+  flushing_.clear();
+  flushing_.swap(flush_list_);
+  for (NetioTransport* t : flushing_) flush_transport(*t);
 }
 
 // ------------------------------------------------------------ receive path

@@ -118,9 +118,10 @@ class NetioTransport final : public net::Transport {
   net::Endpoint self_;
   std::uint64_t reg_id_;
   ReceiveHandler handler_;
-  /// Write coalescer state: per-destination open datagrams plus the queue
-  /// of datagrams ready for the next flush.
-  std::unordered_map<net::Endpoint, PendingDatagram> open_;
+  /// Write coalescer state: per-destination open datagrams (a flat list,
+  /// searched linearly: one flush wave reaches a handful of peers) plus the
+  /// queue of datagrams ready for the next flush. Both keep their capacity.
+  std::vector<PendingDatagram> open_;
   std::vector<PendingDatagram> outq_;
   bool flush_queued_ = false;
 };
@@ -235,6 +236,9 @@ class Reactor {
   std::unordered_map<net::Endpoint, std::uint64_t> reg_of_;
   std::vector<std::unique_ptr<NetioTransport>> graveyard_;
   std::vector<NetioTransport*> flush_list_;
+  /// flush_all's working copy of flush_list_; swapped, so both keep their
+  /// capacity.
+  std::vector<NetioTransport*> flushing_;
   std::uint64_t next_reg_id_ = 1;
 
   std::mutex tasks_mutex_;

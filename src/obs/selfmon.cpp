@@ -68,6 +68,23 @@ bool compare(double value, SloOp op, double threshold) noexcept {
   return false;
 }
 
+/// Whether a tree whose updates have `shape` aggregates the fields `stat`
+/// reads; any other field at its root holds only the root's own sample.
+bool carried(SloStat stat, core::StateShape shape) noexcept {
+  switch (stat) {
+    case SloStat::kValue:
+    case SloStat::kCount: return true;
+    case SloStat::kSum:
+    case SloStat::kAvg: return shape.sum;
+    case SloStat::kMin: return shape.min;
+    case SloStat::kMax: return shape.max;
+    case SloStat::kP50:
+    case SloStat::kP90:
+    case SloStat::kP99: return shape.hist;
+  }
+  return false;
+}
+
 /// The statistic a rule reads off a root state; nullopt = not computable
 /// yet (empty aggregate, no histogram payload), which skips the evaluation
 /// rather than fabricating a breach.
@@ -415,9 +432,21 @@ void SelfMonitor::evaluate(std::uint64_t now_us) {
     if (view.fetched_at_us == 0 || now_us - view.fetched_at_us > ttl) {
       continue;  // no fresh root data; hold the current alert state
     }
+    if (view.epoch == st.seen_epoch &&
+        view.updated_at_us == st.seen_updated_at_us) {
+      continue;  // this root reading was already counted
+    }
+    // A published series' kind is known: a stat its updates do not carry
+    // would read the root's own sample, so the rule is skipped. A watched
+    // application tree's kind is not known here; its rule must name a stat
+    // that tree carries.
+    const bool published = rule_views_[i] < series_.size();
+    if (published && !carried(rule.stat, core::shape_of(view.kind))) continue;
     const std::optional<double> value =
         eval_stat(rule.stat, view.state, view.kind);
     if (!value.has_value()) continue;
+    st.seen_epoch = view.epoch;
+    st.seen_updated_at_us = view.updated_at_us;
     m_evaluations_->inc();
     st.evaluated = true;
     st.last_value = *value;

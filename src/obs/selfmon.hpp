@@ -42,10 +42,14 @@ enum class SloOp : std::uint8_t {
 
 /// One SLO rule: `stat(series) op threshold` states the GOOD condition
 /// (e.g. `p99(rpc.latency) < 500000`); the alert fires after `fire_epochs`
-/// consecutive breaches and clears after `clear_epochs` consecutive OKs —
-/// the hysteresis that keeps one noisy epoch from flapping the alert.
-/// `series` names a published selfmon series; any other name watches the
-/// application aggregate of that attribute (e.g. `avg(cpu-usage) < 85`).
+/// consecutive breaching root readings and clears after `clear_epochs`
+/// consecutive OK ones — the hysteresis that keeps one noisy reading from
+/// flapping the alert. `series` names a published selfmon series; any other
+/// name watches the application aggregate of that attribute (e.g.
+/// `avg(cpu-usage) < 85`). A tree's updates carry only the fields its kind
+/// needs (core::shape_of), so a rule reads a stat its tree carries: sum,
+/// avg and count for SUM/AVG, min for MIN, max for MAX, quantiles for a
+/// histogram. A rule on a published series that does not is skipped.
 struct SloRule {
   std::string name;
   std::string series;
@@ -193,6 +197,11 @@ class SelfMonitor {
     double last_value = 0.0;
     double last_threshold = 0.0;
     bool evaluated = false;  ///< at least one non-skipped evaluation
+    /// The root reading last evaluated, as (epoch, updated_at_us) of the
+    /// view: hysteresis counts root readings, so a cached view re-read on a
+    /// later telemetry epoch is not counted again.
+    std::uint64_t seen_epoch = 0;
+    std::uint64_t seen_updated_at_us = 0;
   };
 
   void arm_tick();

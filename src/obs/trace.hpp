@@ -11,7 +11,7 @@ namespace dat::obs {
 
 /// One recorded operation in a causal trace: a named interval on one node,
 /// linked to its cause by parent_span_id (which may live on another node —
-/// the wire extension carries {trace_id, span_id} across RPC hops, so a
+/// the frame header carries {trace_id, span_id} across RPC hops, so a
 /// receive span's parent is the sender's send span).
 struct Span {
   std::uint64_t trace_id = 0;

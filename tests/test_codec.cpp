@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "net/codec.hpp"
 #include "net/transport.hpp"
@@ -131,27 +133,27 @@ TEST(Codec, TakeMovesBuffer) {
 }
 
 TEST(MessageCodec, RoundTrip) {
-  Message m;
-  m.method = "chord.lookup_step";
-  m.kind = MessageKind::kRequest;
-  m.request_id = 0xFEEDFACE;
   Writer body;
   body.u64(12345);
-  m.body = body.take();
+  Message m;
+  m.method = method_id("chord.lookup_step");
+  m.kind = MessageKind::kRequest;
+  m.request_id = 0xFEEDFACE;
+  m.body = body.data();
 
   const auto wire = m.encode();
   const Message d = Message::decode(wire);
   EXPECT_EQ(d.method, m.method);
   EXPECT_EQ(d.kind, m.kind);
   EXPECT_EQ(d.request_id, m.request_id);
-  EXPECT_EQ(d.body, m.body);
+  EXPECT_TRUE(std::ranges::equal(d.body, m.body));
 }
 
 TEST(MessageCodec, AllKindsRoundTrip) {
   for (const auto kind : {MessageKind::kRequest, MessageKind::kResponse,
                           MessageKind::kOneWay}) {
     Message m;
-    m.method = "m";
+    m.method = method_id("m");
     m.kind = kind;
     EXPECT_EQ(Message::decode(m.encode()).kind, kind);
   }
@@ -159,22 +161,117 @@ TEST(MessageCodec, AllKindsRoundTrip) {
 
 TEST(MessageCodec, BadKindRejected) {
   Message m;
-  m.method = "x";
+  m.method = method_id("x");
   auto wire = m.encode();
-  wire[0] = 9;  // invalid kind tag
-  EXPECT_THROW(Message::decode(wire), CodecError);
+  wire[0] = 9;  // reserved bit 3 set
+  EXPECT_THROW((void)Message::decode(wire), CodecError);
 }
 
 TEST(MessageCodec, TrailingBytesRejected) {
+  // The body runs to the end of the frame, so a stray byte lands in the
+  // body; the body decoder's expect_end() is what rejects it.
+  Writer body;
+  body.u32(7);
   Message m;
-  m.method = "x";
+  m.method = method_id("x");
+  m.body = body.data();
   auto wire = m.encode();
   wire.push_back(0);
-  EXPECT_THROW(Message::decode(wire), CodecError);
+  const Message d = Message::decode(wire);
+  Reader r(d.body);
+  EXPECT_EQ(r.u32(), 7u);
+  try {
+    r.expect_end();
+    FAIL() << "trailing byte accepted";
+  } catch (const CodecError& e) {
+    EXPECT_EQ(e.error().code, DecodeErrorCode::kTrailingBytes);
+    EXPECT_EQ(e.error().offset, 4u);
+  }
 }
 
 TEST(MessageCodec, EmptyDatagramRejected) {
-  EXPECT_THROW(Message::decode({}), CodecError);
+  EXPECT_THROW((void)Message::decode({}), CodecError);
+}
+
+TEST(MessageCodec, HeaderIsKindMethodIdAndVarintRequestId) {
+  Message one_way;
+  one_way.method = method_id("dat.update");
+  EXPECT_EQ(one_way.encode(),
+            (std::vector<std::uint8_t>{0x02,
+                                       static_cast<std::uint8_t>(one_way.method),
+                                       static_cast<std::uint8_t>(one_way.method >> 8)}));
+
+  Message request = one_way;
+  request.kind = MessageKind::kRequest;
+  request.request_id = 300;  // varint 0xac 0x02
+  const auto wire = request.encode();
+  ASSERT_EQ(wire.size(), 5u);
+  EXPECT_EQ(wire[3], 0xac);
+  EXPECT_EQ(wire[4], 0x02);
+}
+
+TEST(MessageCodec, ResponseCarriesStatusInsteadOfMethod) {
+  Message reply;
+  reply.kind = MessageKind::kResponse;
+  reply.request_id = 5;
+  reply.error = true;
+  const auto wire = reply.encode();
+  EXPECT_EQ(wire, (std::vector<std::uint8_t>{0x01 | kFrameErrorFlag, 0x05}));
+  const Message d = Message::decode(wire);
+  EXPECT_TRUE(d.error);
+  EXPECT_EQ(d.method, 0u);
+  // The error flag means nothing on a request: rejected, not ignored.
+  std::vector<std::uint8_t> bad = wire;
+  bad[0] = 0x00 | kFrameErrorFlag;
+  EXPECT_THROW((void)Message::decode(bad), CodecError);
+}
+
+TEST(MessageCodec, TraceFlagCarriesBothIds) {
+  Message m;
+  m.method = method_id("dat.update");
+  m.trace = WireTrace{0x0102030405060708ull, 0x1112131415161718ull};
+  const auto wire = m.encode();
+  ASSERT_EQ(wire.size(), 3u + 16u);
+  EXPECT_EQ(wire[0], 0x02 | kFrameTraceFlag);
+  const Message d = Message::decode(wire);
+  ASSERT_TRUE(d.trace.has_value());
+  EXPECT_EQ(*d.trace, *m.trace);
+  EXPECT_TRUE(d.body.empty());
+}
+
+TEST(MessageCodec, MethodIdIsFoldedFnv1a) {
+  // FNV-1a 32 of "a" is 0xe40c292c; folded: 0xe40c ^ 0x292c.
+  static_assert(method_id("a") == (0xe40c ^ 0x292c));
+  EXPECT_NE(method_id("dat.update"), method_id("dat.handoff"));
+}
+
+TEST(Codec, VarintRoundTripsAndRejectsOverlong) {
+  for (const std::uint64_t v :
+       {0ull, 1ull, 127ull, 128ull, 300ull, 0xffffffffull,
+        0xffffffffffffffffull}) {
+    Writer w;
+    w.varint(v);
+    EXPECT_EQ(w.size(), varint_size(v)) << v;
+    Reader r(w.data());
+    EXPECT_EQ(r.varint(), v);
+    EXPECT_TRUE(r.exhausted());
+  }
+  // 0x80 0x00 is a second spelling of zero.
+  const std::vector<std::uint8_t> overlong{0x80, 0x00};
+  Reader r(overlong);
+  try {
+    (void)r.varint();
+    FAIL() << "overlong varint accepted";
+  } catch (const CodecError& e) {
+    EXPECT_EQ(e.error().code, DecodeErrorCode::kNonCanonical);
+    EXPECT_EQ(e.error().offset, 0u);
+  }
+  EXPECT_EQ(r.position(), 0u);  // a failed read does not advance
+  // An eleventh byte, or a tenth above 1, cannot fit in 64 bits.
+  std::vector<std::uint8_t> wide(9, 0xff);
+  wide.push_back(0x02);
+  Reader r2(wide);
+  EXPECT_THROW((void)r2.varint(), CodecError);
 }
 
 }  // namespace

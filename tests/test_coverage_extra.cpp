@@ -76,8 +76,8 @@ TEST(TrafficCounters, ResetClearsEverything) {
   auto& a = network.add_node();
   auto& b = network.add_node();
   b.set_receive_handler([](net::Endpoint, const net::Message&) {});
-  net::Message m;
-  m.method = "x";
+  net::OwnedMessage m;
+  m.method = net::method_id("x");
   m.kind = net::MessageKind::kOneWay;
   m.body = {1, 2, 3, 4};
   a.send(b.local(), m);

@@ -2,6 +2,7 @@
 // queries, soft-state children under churn — all over the simulator.
 
 #include "dat/dat_node.hpp"
+#include "dat/wire.hpp"
 
 #include <gtest/gtest.h>
 
@@ -125,13 +126,14 @@ class DatClusterTest : public ::testing::Test {
   }
 
   /// Starts the same aggregate on every live node with value x_i = f(i).
-  Id start_all(AggregateKind kind, double (*value)(std::size_t)) {
+  Id start_all(AggregateKind kind, double (*value)(std::size_t),
+               const char* name = "test-attr") {
     Id key = 0;
     for (std::size_t i = 0; i < cluster_->slot_count(); ++i) {
       if (!cluster_->is_live(i)) continue;
       const double v = value(i);
       key = cluster_->dat(i).start_aggregate(
-          "test-attr", kind, chord::RoutingScheme::kBalanced,
+          name, kind, chord::RoutingScheme::kBalanced,
           [v]() { return v; });
     }
     return key;
@@ -164,8 +166,24 @@ TEST_F(DatClusterTest, ContinuousSumConvergesToExactTotal) {
   EXPECT_EQ(g->state.count, kNodes);
   // sum of 1..20 = 210
   EXPECT_DOUBLE_EQ(g->state.sum, 210.0);
-  EXPECT_DOUBLE_EQ(g->state.min, 1.0);
-  EXPECT_DOUBLE_EQ(g->state.max, 20.0);
+}
+
+TEST_F(DatClusterTest, ContinuousMinMaxTreesCarryTheirExtrema) {
+  // A SUM tree's updates carry sum and count only; the extrema travel in
+  // MIN and MAX trees, whose updates carry the value and the count.
+  ASSERT_TRUE(converged_);
+  const auto value = [](std::size_t i) { return double(i) + 1.0; };
+  const Id min_key = start_all(AggregateKind::kMin, value, "test-min");
+  const Id max_key = start_all(AggregateKind::kMax, value, "test-max");
+  cluster_->run_for(20 * 200'000);
+  const auto lo = root_value(min_key);
+  const auto hi = root_value(max_key);
+  ASSERT_TRUE(lo.has_value());
+  ASSERT_TRUE(hi.has_value());
+  EXPECT_EQ(lo->state.count, kNodes);
+  EXPECT_EQ(hi->state.count, kNodes);
+  EXPECT_DOUBLE_EQ(lo->state.result(AggregateKind::kMin), 1.0);
+  EXPECT_DOUBLE_EQ(hi->state.result(AggregateKind::kMax), 20.0);
 }
 
 TEST_F(DatClusterTest, OnlyTheRootHoldsTheGlobal) {
@@ -379,23 +397,21 @@ TEST_F(DatClusterTest, TruncatedBodiesAreDropped) {
   net::Transport& stranger = cluster_->network().add_node();
   net::RpcManager stranger_rpc(stranger);
   net::Writer update;
-  update.u64(key);
-  update.u8(static_cast<std::uint8_t>(AggregateKind::kCount));
-  update.u8(static_cast<std::uint8_t>(chord::RoutingScheme::kBalanced));
-  chord::write_node_ref(update, {0x1234, stranger.local()});
-  write_agg_state(update, AggState::of(1.0));
+  write_update(update, UpdateBody{key, AggregateKind::kSum,
+                                  static_cast<std::uint8_t>(
+                                      chord::RoutingScheme::kBalanced),
+                                  0x1234, AggState::of(1.0)});
   send_cut(stranger_rpc, "dat.update", update, 5);
   // dat.handoff cut inside its TTL: accepted, it would install an override.
   net::Writer handoff;
-  handoff.u64(key);
-  chord::write_node_ref(handoff, cluster_->node(child).self());
-  handoff.u64(60'000'000);
+  write_handoff(handoff,
+                HandoffBody{key, cluster_->node(child).self(), 60'000'000});
   send_cut(stranger_rpc, "dat.handoff", handoff, 3);
   // dat.retract from a real child, cut inside its key: accepted, it would
   // erase that child's record.
   net::Writer retract;
-  retract.u64(key);
-  send_cut(cluster_->node(child).rpc(), "dat.retract", retract, 4);
+  write_retract(retract, key);
+  send_cut(cluster_->node(child).rpc(), "dat.retract", retract, 1);
 
   const auto served = [&](const char* method) {
     const auto& counts = cluster_->node(target).rpc().served_counts();

@@ -141,9 +141,10 @@ TEST(FailureInjection, MalformedDatagramsAreIgnored) {
 
   Rng rng(666);
   for (int i = 0; i < 200; ++i) {
-    net::Message garbage;
+    net::OwnedMessage garbage;
     garbage.kind = static_cast<net::MessageKind>(rng.next_below(3));
-    garbage.method = i % 2 ? "chord.lookup_step" : "nonsense.method";
+    garbage.method =
+        net::method_id(i % 2 ? "chord.lookup_step" : "nonsense.method");
     garbage.request_id = rng.next_u64();
     const auto len = rng.next_below(64);
     garbage.body.resize(len);

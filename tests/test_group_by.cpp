@@ -133,7 +133,8 @@ TEST_F(GroupByClusterTest, RegroupingMovesTheContribution) {
     ASSERT_EQ(st, net::RpcStatus::kOk);
     ASSERT_TRUE(g.has_value());
     EXPECT_EQ(g->state.count, kNodes / 3 + 1);
-    EXPECT_DOUBLE_EQ(g->state.max, 90.0);
+    // Six members at 50 plus node 0 at 90: an AVG tree carries the sum.
+    EXPECT_DOUBLE_EQ(g->state.sum, 6 * 50.0 + 90.0);
   });
   cluster_->run_for(3'000'000);
   EXPECT_TRUE(linux_done);

@@ -24,9 +24,10 @@ namespace {
 using namespace dat;
 using namespace dat::netio;
 
-net::Message one_way(std::string method, std::vector<std::uint8_t> body = {}) {
-  net::Message msg;
-  msg.method = std::move(method);
+net::OwnedMessage one_way(std::string_view method,
+                          std::vector<std::uint8_t> body = {}) {
+  net::OwnedMessage msg;
+  msg.method = net::method_id(method);
   msg.kind = net::MessageKind::kOneWay;
   msg.body = std::move(body);
   return msg;
@@ -106,8 +107,8 @@ TEST(BufferArenaTest, RecyclesInsteadOfReallocating) {
 // ------------------------------------------------------- batch container
 
 TEST(BatchFrameTest, RoundTripsMultipleFrames) {
-  const std::vector<std::uint8_t> f1 = one_way("a").encode();
-  const std::vector<std::uint8_t> f2 = one_way("bb", {9, 9}).encode();
+  const std::vector<std::uint8_t> f1 = one_way("a").view().encode();
+  const std::vector<std::uint8_t> f2 = one_way("bb", {9, 9}).view().encode();
   std::vector<std::uint8_t> batch;
   net::begin_batch(batch);
   net::append_batch_frame(batch, f1);
@@ -129,8 +130,8 @@ TEST(BatchFrameTest, RoundTripsMultipleFrames) {
 }
 
 TEST(BatchFrameTest, TruncatedTailReportsErrorButKeepsEarlierFrames) {
-  const std::vector<std::uint8_t> f1 = one_way("ok").encode();
-  const std::vector<std::uint8_t> f2 = one_way("cut").encode();
+  const std::vector<std::uint8_t> f1 = one_way("ok").view().encode();
+  const std::vector<std::uint8_t> f2 = one_way("cut").view().encode();
   std::vector<std::uint8_t> batch;
   net::begin_batch(batch);
   net::append_batch_frame(batch, f1);
@@ -228,6 +229,38 @@ TEST(NetioNetworkTest, CoalescesAWaveIntoFewerDatagrams) {
   EXPECT_EQ(counters.batch_datagrams_in, counters.coalesced_datagrams_out);
 }
 
+TEST(NetioNetworkTest, CoalescerFillsADatagramToTheByte) {
+  // The seal check sizes the batch container with varint frame lengths:
+  // 2 header bytes, then 1 + 100, 2 + 200 and 2 + 205 bytes of prefixed
+  // frames make exactly 512. One byte more must seal the datagram first.
+  // Every datagram fits the 512-byte receive buffer, so none truncates.
+  for (const std::size_t extra : {0u, 1u}) {
+    ReactorOptions options;
+    options.max_datagram = 512;
+    NetioNetwork network(options);
+    auto& a = network.add_node();
+    auto& b = network.add_node();
+    int received = 0;
+    b.set_receive_handler(
+        [&](net::Endpoint, const net::Message&) { ++received; });
+    const std::size_t frames[] = {100, 200, 205 + extra};
+    for (const std::size_t size : frames) {
+      const auto msg =
+          one_way("fill", std::vector<std::uint8_t>(size - 3, 0x5a));
+      ASSERT_EQ(msg.view().encode().size(), size);
+      a.send(b.local(), msg);
+    }
+    ASSERT_TRUE(network.run_while([&] { return received < 3; }, 2'000'000));
+    const ReactorCounters counters = network.reactor().counters();
+    EXPECT_EQ(counters.frames_out, 3u);
+    EXPECT_EQ(counters.datagrams_out, extra == 0 ? 1u : 2u) << extra;
+    EXPECT_EQ(counters.coalesced_datagrams_out, 1u);
+    EXPECT_EQ(counters.truncated_in, 0u);
+    EXPECT_EQ(b.counters().truncated_datagrams, 0u);
+    EXPECT_EQ(b.counters().decode_errors, 0u);
+  }
+}
+
 TEST(NetioNetworkTest, RpcRoundTripOverReactor) {
   NetioNetwork network;
   auto& ta = network.add_node();
@@ -258,14 +291,14 @@ TEST(NetioNetworkTest, KernelTruncationIsCountedAndDropped) {
   auto& a = network.add_node();
   auto& b = network.add_node();
   int received = 0;
-  std::string last;
+  net::MethodId last = 0;
   b.set_receive_handler([&](net::Endpoint, const net::Message& m) {
     ++received;
     last = m.method;
   });
   a.send(b.local(), one_way("big", std::vector<std::uint8_t>(2'000)));
   a.send(b.local(), one_way("small"));
-  ASSERT_TRUE(network.run_while([&] { return last != "small"; }, 2'000'000));
+  ASSERT_TRUE(network.run_while([&] { return last != net::method_id("small"); }, 2'000'000));
   EXPECT_EQ(received, 1);  // the oversized datagram was dropped, not decoded
   EXPECT_EQ(b.counters().truncated_datagrams, 1u);
   EXPECT_EQ(b.counters().decode_errors, 0u);

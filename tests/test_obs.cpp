@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "dat/wire.hpp"
 #include "harness/sim_cluster.hpp"
 #include "net/rpc.hpp"
 #include "net/sim_transport.hpp"
@@ -330,95 +332,90 @@ TEST(TraceContextTest, ScopeNestsAndRestores) {
   EXPECT_FALSE(ctx.active());
 }
 
-// -- wire extension: trace round-trip and frame compatibility ----------------
+// -- wire trace: the header flag and its ids --------------------------------
 
-net::Message sample_message() {
-  net::Message msg;
+/// A dat.update frame: a whole MIN-tree update body.
+net::OwnedMessage sample_message() {
+  net::OwnedMessage msg;
   msg.kind = net::MessageKind::kOneWay;
-  msg.request_id = 7;
-  msg.method = "dat.update";
+  msg.method = net::method_id("dat.update");
   net::Writer w;
-  w.u64(0xdeadbeef);
+  core::write_update(w, core::UpdateBody{0xdeadbeef, core::AggregateKind::kMin,
+                                         1, 42, core::AggState::of(2.0)});
   msg.body = w.take();
   return msg;
 }
 
 TEST(WireTraceTest, TraceRoundTripsThroughTheWire) {
-  net::Message msg = sample_message();
+  net::OwnedMessage msg = sample_message();
   msg.trace = net::WireTrace{0x1111222233334444ULL, 0x5555666677778888ULL};
-  const auto wire = msg.encode();
+  const auto wire = msg.view().encode();
   const net::Message decoded = net::Message::decode(wire);
   ASSERT_TRUE(decoded.trace.has_value());
   EXPECT_EQ(*decoded.trace, *msg.trace);
   EXPECT_EQ(decoded.method, msg.method);
-  EXPECT_EQ(decoded.body, msg.body);
+  EXPECT_TRUE(std::ranges::equal(decoded.body, msg.body));
 }
 
 TEST(WireTraceTest, UntracedEncodingIsByteIdenticalToTheOldFormat) {
-  const net::Message msg = sample_message();
-  // The pre-extension format, built by hand.
+  // An untraced frame is the 3-byte header and the body; tracing sets the
+  // flag bit and inserts the 16 id bytes, nothing else.
+  net::OwnedMessage msg = sample_message();
   net::Writer w;
   w.u8(static_cast<std::uint8_t>(msg.kind));
-  w.u64(msg.request_id);
-  w.str(msg.method);
-  w.bytes(msg.body);
-  EXPECT_EQ(msg.encode(), w.take());
+  w.u16(msg.method);
+  w.raw(msg.body);
+  const std::vector<std::uint8_t> untraced = msg.view().encode();
+  EXPECT_EQ(untraced, w.data());
+  msg.trace = net::WireTrace{1, 2};
+  const std::vector<std::uint8_t> traced = msg.view().encode();
+  ASSERT_EQ(traced.size(), untraced.size() + 16);
+  EXPECT_EQ(traced[0], untraced[0] | net::kFrameTraceFlag);
+  EXPECT_TRUE(std::equal(untraced.begin() + 3, untraced.end(),
+                         traced.begin() + 3 + 16));
 }
 
 TEST(WireTraceTest, OldDecoderViewStillRejectsTrailingGarbage) {
-  auto wire = sample_message().encode();
-  const std::size_t frame_end = wire.size();
+  // The body runs to the end of the frame, so a stray byte reaches the
+  // update reader, which rejects it where the update ends.
+  const net::OwnedMessage msg = sample_message();
+  auto wire = msg.view().encode();
   wire.push_back(0xaa);
+  const net::Message decoded = net::Message::decode(wire);
+  net::Reader r(decoded.body);
   try {
-    (void)net::Message::decode(wire);
+    (void)core::read_update(r);
     FAIL() << "trailing garbage must be rejected";
   } catch (const net::CodecError& e) {
     EXPECT_EQ(e.error().code, net::DecodeErrorCode::kTrailingBytes);
-    EXPECT_EQ(e.error().offset, frame_end);
+    EXPECT_EQ(e.error().offset, msg.body.size());
   }
-  // 0x00 is not the extension marker either.
-  wire.back() = 0x00;
-  EXPECT_THROW((void)net::Message::decode(wire), net::CodecError);
 }
 
-TEST(WireTraceTest, UnknownExtensionTagsAreSkipped) {
-  auto wire = sample_message().encode();
-  wire.push_back(net::kFrameExtMagic);
-  wire.push_back(0x7f);  // unknown tag
-  wire.push_back(2);
-  wire.push_back(0xab);
-  wire.push_back(0xcd);
-  const net::Message decoded = net::Message::decode(wire);
-  EXPECT_FALSE(decoded.trace.has_value());
-  EXPECT_EQ(decoded.method, "dat.update");
-
-  // A trace record after an unknown one is still found.
-  net::Message traced = sample_message();
-  traced.trace = net::WireTrace{1, 2};
-  auto traced_wire = sample_message().encode();
-  traced_wire.push_back(net::kFrameExtMagic);
-  traced_wire.push_back(0x7f);
-  traced_wire.push_back(1);
-  traced_wire.push_back(0xee);
-  traced_wire.push_back(net::kFrameExtTraceTag);
-  traced_wire.push_back(16);
-  for (int i = 0; i < 8; ++i) traced_wire.push_back(i == 0 ? 1 : 0);  // LE 1
-  for (int i = 0; i < 8; ++i) traced_wire.push_back(i == 0 ? 2 : 0);  // LE 2
-  const net::Message d2 = net::Message::decode(traced_wire);
-  ASSERT_TRUE(d2.trace.has_value());
-  EXPECT_EQ(d2.trace->trace_id, 1u);
-  EXPECT_EQ(d2.trace->span_id, 2u);
+TEST(WireTraceTest, ReservedHeaderBitsAreRejected) {
+  // Bits 2..5 of the leading byte mean nothing yet: a frame that sets one
+  // is rejected rather than skipped, so each accepted frame has exactly one
+  // encoding.
+  const auto wire = sample_message().view().encode();
+  for (const std::uint8_t bit : {0x04, 0x08, 0x10, 0x20}) {
+    auto mutated = wire;
+    mutated[0] = static_cast<std::uint8_t>(mutated[0] | bit);
+    const auto result = net::Message::try_decode(mutated);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error.code, net::DecodeErrorCode::kBadKind);
+    EXPECT_EQ(result.error.offset, 0u);
+  }
 }
 
 TEST(WireTraceTest, TruncatedExtensionIsRejectedAsTruncated) {
-  auto wire = sample_message().encode();
-  wire.push_back(net::kFrameExtMagic);
-  wire.push_back(net::kFrameExtTraceTag);
-  wire.push_back(16);
-  wire.push_back(0x01);  // only 1 of 16 payload bytes
+  // The trace flag promises 16 id bytes right after the method id.
+  std::vector<std::uint8_t> wire = sample_message().view().encode();
+  wire.resize(3);
+  wire[0] = static_cast<std::uint8_t>(wire[0] | net::kFrameTraceFlag);
+  wire.push_back(0x01);  // only 1 of 16 trace-id bytes
   try {
     (void)net::Message::decode(wire);
-    FAIL() << "truncated extension must be rejected";
+    FAIL() << "truncated trace ids must be rejected";
   } catch (const net::CodecError& e) {
     EXPECT_EQ(e.error().code, net::DecodeErrorCode::kTruncated);
   }

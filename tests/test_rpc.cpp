@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "net/sim_transport.hpp"
 #include "sim/engine.hpp"
 
@@ -57,6 +60,39 @@ TEST_F(RpcTest, UnknownMethodYieldsRemoteError) {
   engine_.run();
   EXPECT_EQ(status, RpcStatus::kRemoteError);
   EXPECT_NE(error.find("unknown method"), std::string::npos);
+}
+
+TEST_F(RpcTest, MethodIdCollisionIsRejectedAtRegistration) {
+  // "mju" and "mps" fold to the same 16-bit id: a second name may not take
+  // an id, whichever handler slot it asks for. Re-registering a name is fine.
+  static_assert(method_id("mju") == method_id("mps"));
+  server_.register_method("mju", [](Endpoint, Reader&, Writer&) {});
+  EXPECT_THROW(
+      server_.register_method("mps", [](Endpoint, Reader&, Writer&) {}),
+      std::invalid_argument);
+  EXPECT_THROW(server_.register_one_way("mps", [](Endpoint, Reader&) {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(server_.register_one_way("mju", [](Endpoint, Reader&) {}));
+}
+
+TEST(MethodIdTest, EveryProtocolMethodHasItsOwnId) {
+  // Nodes register different subsets of these; ids are derived from the
+  // names, so any two that collide would cross wires on a mixed fleet.
+  const char* const names[] = {
+      "chord.lookup_step", "chord.get_neighbors", "chord.notify",
+      "chord.ping",        "chord.split_interval", "chord.leaving",
+      "chord.route",       "chord.bcast",          "chord.rfind",
+      "chord.rfind_done",  "dat.update",           "dat.get_global",
+      "dat.get_history",   "dat.snap_req",         "dat.snap_resp",
+      "dat.collect_start", "dat.collect_req",      "dat.handoff",
+      "dat.retract",       "maan.store",           "maan.remove",
+      "maan.lookup",       "maan.sweep",           "maan.sweep_result",
+      "datd.status",       "datd.metrics",         "datd.fleet",
+      "datd.leave",        "datd.rebalance"};
+  std::set<MethodId> ids;
+  for (const char* name : names) {
+    EXPECT_TRUE(ids.insert(method_id(name)).second) << name;
+  }
 }
 
 TEST_F(RpcTest, ThrowingHandlerYieldsRemoteError) {

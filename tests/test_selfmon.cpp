@@ -515,6 +515,56 @@ TEST(SelfMonitorSimTest, OneRulesetWatchesSelfmonSeriesAndApplicationTrees) {
   EXPECT_FALSE(monitor->alert_firing("coverage"));
 }
 
+TEST(SelfMonitorSimTest, OneRootReadingCountsOnceAcrossTelemetryEpochs) {
+  // Telemetry polls four times per DAT epoch, so the root's cached view is
+  // re-read several times; hysteresis must count the root reading once. A
+  // single leaf spike reaches the root in one epoch and cannot fire a
+  // "fire 2" rule.
+  constexpr std::size_t kNodes = 12;
+  harness::ClusterOptions options;
+  options.seed = 5;
+  options.dat.epoch_us = 400'000;
+  options.with_selfmon = true;
+  options.selfmon.epoch_us = 100'000;
+  options.selfmon.rules =
+      obs::SloRuleset::parse("hot load max < 90 fire 2 clear 2\n");
+  std::size_t spiking = kNodes;  // the slot whose next push reports 95
+  harness::SimCluster cluster(kNodes, std::move(options));
+  ASSERT_TRUE(cluster.wait_converged(600'000'000));
+  Id key = 0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    key = cluster.dat(i).start_aggregate(
+        "load", core::AggregateKind::kMax, chord::RoutingScheme::kBalanced,
+        [&spiking, i] {
+          if (spiking != i) return 50.0;
+          spiking = kNodes;
+          return 95.0;
+        });
+  }
+  cluster.run_for(6'000'000);
+  obs::SelfMonitor* monitor = cluster.selfmon(0);
+  ASSERT_NE(monitor, nullptr);
+  ASSERT_EQ(monitor->alerts().size(), 1u);
+  EXPECT_DOUBLE_EQ(monitor->alerts().front().value, 50.0);
+  EXPECT_EQ(monitor->alerts().front().breaches, 0u);
+
+  // Spike one tree leaf for one push.
+  for (std::size_t i = 0; i < kNodes && spiking == kNodes; ++i) {
+    if (cluster.dat(i).child_count(key) == 0 && !cluster.dat(i).latest(key)) {
+      spiking = i;
+    }
+  }
+  ASSERT_LT(spiking, kNodes);
+  bool fired = false;
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    cluster.run_for(monitor->options().epoch_us);
+    fired = fired || monitor->alert_firing("hot");
+  }
+  EXPECT_EQ(spiking, kNodes) << "the leaf never pushed its spike";
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(monitor->alerts().front().breaches, 1u);
+}
+
 TEST(SelfmonCampaignTest, AlertFiresDuringKillWaveAndClearsAfterRecovery) {
   const chaos::ChaosPlan plan = chaos::ChaosPlan::selfmon(7, 8);
   harness::SimCluster cluster(plan.nodes, selfmon_cluster_options(plan.seed));

@@ -9,9 +9,9 @@ namespace {
 using namespace dat;
 using namespace dat::net;
 
-Message make_msg(const std::string& method) {
-  Message m;
-  m.method = method;
+OwnedMessage make_msg(std::string_view method) {
+  OwnedMessage m;
+  m.method = method_id(method);
   m.kind = MessageKind::kOneWay;
   return m;
 }
@@ -35,7 +35,7 @@ TEST_F(SimTransportTest, EndpointsAreDenseAndNonNull) {
 TEST_F(SimTransportTest, DeliversWithLatency) {
   auto& a = network_.add_node();
   auto& b = network_.add_node();
-  std::string received;
+  MethodId received = 0;
   sim::SimTime arrival = 0;
   b.set_receive_handler([&](Endpoint from, const Message& m) {
     EXPECT_EQ(from, a.local());
@@ -43,9 +43,9 @@ TEST_F(SimTransportTest, DeliversWithLatency) {
     arrival = engine_.now();
   });
   a.send(b.local(), make_msg("hi"));
-  EXPECT_TRUE(received.empty());  // not synchronous
+  EXPECT_EQ(received, 0u);  // not synchronous
   engine_.run();
-  EXPECT_EQ(received, "hi");
+  EXPECT_EQ(received, method_id("hi"));
   EXPECT_GT(arrival, 0u);  // latency applied
 }
 
@@ -53,7 +53,7 @@ TEST_F(SimTransportTest, CountersTrackTraffic) {
   auto& a = network_.add_node();
   auto& b = network_.add_node();
   b.set_receive_handler([](Endpoint, const Message&) {});
-  Message m = make_msg("x");
+  OwnedMessage m = make_msg("x");
   m.body = {1, 2, 3};
   a.send(b.local(), m);
   a.send(b.local(), m);

@@ -122,9 +122,10 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-Message one_way(std::string method, std::vector<std::uint8_t> body = {}) {
-  Message msg;
-  msg.method = std::move(method);
+OwnedMessage one_way(std::string_view method,
+                     std::vector<std::uint8_t> body = {}) {
+  OwnedMessage msg;
+  msg.method = method_id(method);
   msg.kind = MessageKind::kOneWay;
   msg.body = std::move(body);
   return msg;
@@ -134,15 +135,15 @@ TEST_P(TransportConformance, DeliversWithSourceAndPayload) {
   const auto fabric = GetParam().make();
   auto& a = fabric->add_node();
   auto& b = fabric->add_node();
-  std::string got;
+  MethodId got = 0;
   Endpoint from = kNullEndpoint;
   b.set_receive_handler([&](Endpoint src, const Message& m) {
     from = src;
     got = m.method;
   });
   a.send(b.local(), one_way("hello", {1, 2, 3}));
-  ASSERT_TRUE(fabric->pump_until([&] { return !got.empty(); }, 2'000'000));
-  EXPECT_EQ(got, "hello");
+  ASSERT_TRUE(fabric->pump_until([&] { return got != 0; }, 2'000'000));
+  EXPECT_EQ(got, method_id("hello"));
   EXPECT_EQ(from, a.local());
   EXPECT_EQ(a.counters().messages_sent, 1u);
   EXPECT_EQ(b.counters().messages_received, 1u);
@@ -153,7 +154,7 @@ TEST_P(TransportConformance, OversizedPayloadNeverWedgesTheFabric) {
   auto& a = fabric->add_node();
   auto& b = fabric->add_node();
   int received = 0;
-  std::string last;
+  MethodId last = 0;
   b.set_receive_handler([&](Endpoint, const Message& m) {
     ++received;
     last = m.method;
@@ -163,7 +164,7 @@ TEST_P(TransportConformance, OversizedPayloadNeverWedgesTheFabric) {
   // must keep working for the normal message that follows.
   a.send(b.local(), one_way("huge", std::vector<std::uint8_t>(70 * 1024)));
   a.send(b.local(), one_way("after"));
-  ASSERT_TRUE(fabric->pump_until([&] { return last == "after"; }, 2'000'000));
+  ASSERT_TRUE(fabric->pump_until([&] { return last == method_id("after"); }, 2'000'000));
   EXPECT_EQ(received, fabric->delivers_oversized() ? 2 : 1);
   EXPECT_EQ(b.counters().decode_errors, 0u);
 }

@@ -1,6 +1,8 @@
-// Fuzz harness for the wire codec: Message decoding, the Reader primitives
-// and the DAT body decoders (read_agg_state, read_global_value), driven by
-// arbitrary bytes. Built behind DAT_FUZZ.
+// Fuzz harness for the wire codec: the Message frame header, the batch
+// container, the Reader primitives and every DAT body decoder reachable
+// from the network (the kind-shaped AggState of each aggregate kind, whole
+// dat.update / dat.handoff / dat.retract bodies, the full AggState and the
+// root answer), driven by arbitrary bytes. Built behind DAT_FUZZ.
 //
 // Under Clang the target links libFuzzer (-fsanitize=fuzzer) and explores
 // inputs coverage-guided; under other compilers the same harness compiles
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "dat/aggregate.hpp"
+#include "dat/wire.hpp"
+#include "net/frame.hpp"
 #include "net/transport.hpp"
 
 namespace {
@@ -28,7 +32,7 @@ void fuzz_reader_primitives(std::span<const std::uint8_t> data) {
   dat::net::Reader r(data);
   try {
     while (!r.exhausted()) {
-      switch (r.u8() % 8) {
+      switch (r.u8() % 9) {
         case 0: (void)r.u8(); break;
         case 1: (void)r.u16(); break;
         case 2: (void)r.u32(); break;
@@ -37,6 +41,7 @@ void fuzz_reader_primitives(std::span<const std::uint8_t> data) {
         case 5: (void)r.f64(); break;
         case 6: (void)r.str(); break;
         case 7: (void)r.bytes(); break;
+        case 8: (void)r.varint(); break;
       }
     }
   } catch (const dat::net::CodecError&) {
@@ -56,6 +61,23 @@ void fuzz_message_decode(std::span<const std::uint8_t> data) {
         !std::equal(wire.begin(), wire.end(), data.begin())) {
       __builtin_trap();
     }
+  }
+}
+
+// The batch container: a datagram it splits without error must rebuild,
+// frame by frame, into exactly the input bytes (varint lengths are
+// canonical).
+void fuzz_batch_split(std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t> rebuilt;
+  dat::net::begin_batch(rebuilt);
+  const auto error = dat::net::split_batch(
+      data, [&](std::span<const std::uint8_t> frame) {
+        fuzz_message_decode(frame);
+        dat::net::append_batch_frame(rebuilt, frame);
+      });
+  if (!error && (rebuilt.size() != data.size() ||
+                 !std::equal(rebuilt.begin(), rebuilt.end(), data.begin()))) {
+    __builtin_trap();
   }
 }
 
@@ -84,12 +106,29 @@ void fuzz_body_decode(std::span<const std::uint8_t> data, Read read,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::uint8_t> input(data, size);
+  namespace core = dat::core;
+  using dat::net::Reader;
+  using dat::net::Writer;
   fuzz_message_decode(input);
+  fuzz_batch_split(input);
   fuzz_reader_primitives(input);
-  fuzz_body_decode(input, dat::core::read_agg_state,
-                   dat::core::write_agg_state);
-  fuzz_body_decode(input, dat::core::read_global_value,
-                   dat::core::write_global_value);
+  for (std::uint8_t raw = 0;
+       raw <= static_cast<std::uint8_t>(core::AggregateKind::kHistogram);
+       ++raw) {
+    const auto kind = static_cast<core::AggregateKind>(raw);
+    fuzz_body_decode(
+        input, [kind](Reader& r) { return core::read_agg_state(r, kind); },
+        [kind](Writer& w, const core::AggState& s) {
+          core::write_agg_state(w, kind, s);
+        });
+  }
+  fuzz_body_decode(input, core::read_update, core::write_update);
+  fuzz_body_decode(input, core::read_handoff, core::write_handoff);
+  fuzz_body_decode(input, core::read_retract, core::write_retract);
+  fuzz_body_decode(
+      input, [](Reader& r) { return core::read_agg_state(r); },
+      [](Writer& w, const core::AggState& s) { core::write_agg_state(w, s); });
+  fuzz_body_decode(input, core::read_global_value, core::write_global_value);
   return 0;
 }
 
