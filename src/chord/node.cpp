@@ -552,13 +552,18 @@ NodeRef Node::successor() const {
 }
 
 std::vector<Id> Node::finger_ids() const {
-  std::vector<Id> out(space_.bits(), self_.id);
+  std::array<Id, 64> buf;
+  const std::span<const Id> ids = finger_ids(buf);
+  return {ids.begin(), ids.end()};
+}
+
+std::span<const Id> Node::finger_ids(std::array<Id, 64>& buf) const {
   for (unsigned j = 0; j < space_.bits(); ++j) {
-    if (fingers_[j].valid()) out[j] = fingers_[j].id;
+    buf[j] = fingers_[j].valid() ? fingers_[j].id : self_.id;
   }
   // Finger 0 is by definition the successor; keep it authoritative.
-  if (!successor_list_.empty()) out[0] = successor_list_.front().id;
-  return out;
+  if (!successor_list_.empty()) buf[0] = successor_list_.front().id;
+  return {buf.data(), space_.bits()};
 }
 
 bool Node::owns(Id key) const {
@@ -572,7 +577,8 @@ bool Node::owns(Id key) const {
 
 std::optional<NodeRef> Node::dat_parent(Id key, RoutingScheme scheme) const {
   const bool is_root = owns(key);
-  const std::vector<Id> ids = finger_ids();
+  std::array<Id, 64> buf;
+  const std::span<const Id> ids = finger_ids(buf);
   std::optional<Id> next;
   switch (scheme) {
     case RoutingScheme::kGreedy:

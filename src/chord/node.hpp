@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -118,6 +119,9 @@ class Node {
   /// Identifiers of all fingers (invalid entries collapse to self's id so
   /// that routing skips them). Index j -> FINGER(self, j).
   [[nodiscard]] std::vector<Id> finger_ids() const;
+  /// The same, written into `buf` without allocating (the per-push form
+  /// dat_parent uses); identifier spaces have at most 64 bits.
+  [[nodiscard]] std::span<const Id> finger_ids(std::array<Id, 64>& buf) const;
 
   /// True iff `key` is owned by this node: key in (predecessor, self].
   /// Unknowable (false) until a predecessor is learned.

@@ -1,8 +1,27 @@
 #include "chord/routing.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace dat::chord {
+
+namespace {
+unsigned bit_length(unsigned __int128 v) {
+  const auto hi = static_cast<std::uint64_t>(v >> 64);
+  if (hi != 0) return 128 - static_cast<unsigned>(std::countl_zero(hi));
+  return 64 - static_cast<unsigned>(
+                  std::countl_zero(static_cast<std::uint64_t>(v)));
+}
+
+/// Smallest k with den * 2^k >= num, for num, den > 0: exact in 128 bits
+/// and without a loop (den shifted by the bit-length difference has num's
+/// bit length, so k is that difference or one more).
+unsigned ceil_log2_ratio(unsigned __int128 num, unsigned __int128 den) {
+  if (den >= num) return 0;
+  const unsigned k = bit_length(num) - bit_length(den);
+  return (den << k) >= num ? k : k + 1;
+}
+}  // namespace
 
 const char* to_string(RoutingScheme s) noexcept {
   switch (s) {
@@ -16,14 +35,7 @@ unsigned ceil_log2_rational(std::uint64_t num, std::uint64_t den) {
   if (num == 0 || den == 0) {
     throw std::invalid_argument("ceil_log2_rational: zero argument");
   }
-  // Smallest k with den * 2^k >= num; 128-bit to stay exact for any b <= 64.
-  unsigned __int128 shifted = den;
-  unsigned k = 0;
-  while (shifted < num) {
-    shifted <<= 1;
-    ++k;
-  }
-  return k;
+  return ceil_log2_ratio(num, den);
 }
 
 unsigned finger_limit(std::uint64_t x, std::uint64_t d0_num,
@@ -37,14 +49,7 @@ unsigned finger_limit(std::uint64_t x, std::uint64_t d0_num,
   const unsigned __int128 num = static_cast<unsigned __int128>(x) * d0_den +
                                 static_cast<unsigned __int128>(2) * d0_num;
   const unsigned __int128 den = static_cast<unsigned __int128>(3) * d0_den;
-  // Smallest k with den * 2^k >= num.
-  unsigned __int128 shifted = den;
-  unsigned k = 0;
-  while (shifted < num) {
-    shifted <<= 1;
-    ++k;
-  }
-  return k;
+  return ceil_log2_ratio(num, den);
 }
 
 std::optional<Id> next_hop(const IdSpace& space, Id self, Id key,

@@ -80,9 +80,12 @@ DatNode::DatNode(chord::Node& chord, DatOptions options)
         out.samples.push_back(std::move(s));
       };
       add("dat_tree_children", static_cast<double>(entry.children.size()));
-      add("dat_tree_epoch", static_cast<double>(entry.epoch));
       add("dat_tree_is_root", entry.global.has_value() ? 1.0 : 0.0);
-      add("dat_tree_history_len", static_cast<double>(entry.history.size()));
+      // Pushes by rule (their sum is the entry's epoch count): the share of
+      // deadline pushes is how often a wave waited on a silent child.
+      add("dat_tree_pushes_early", static_cast<double>(entry.pushes.early));
+      add("dat_tree_pushes_deadline",
+          static_cast<double>(entry.pushes.deadline));
       // Per-key cumulative update counts and the effective push period: the
       // lb load collector turns these into update rates per tree.
       add("dat_tree_updates_in", static_cast<double>(entry.updates_received));
@@ -287,13 +290,20 @@ void DatNode::start_aggregate_state(Id key, AggregateKind kind,
   key &= chord_.space().mask();
   auto [it, inserted] = table_.try_emplace(key);
   Entry& entry = it->second;
+  const std::uint64_t armed_period = inserted ? 0 : period_of(entry);
   entry.key = key;
   entry.kind = kind;
   entry.scheme = scheme;
   entry.local = std::move(local);
   if (epoch_us != 0) entry.epoch_us = epoch_us;
-  if (inserted) {
-    arm_epoch(key);
+  if (period_of(entry) != armed_period) {
+    // The first arm lands on the grid; a relay entry that now learns its
+    // period moves onto that period's grid.
+    net::Transport& transport = chord_.rpc().transport();
+    const std::uint64_t now = transport.now_us();
+    if (entry.timer != 0) transport.cancel_timer(entry.timer);
+    entry.pushed_at_us = now;
+    arm_epoch(entry, period_of(entry) - now % period_of(entry));
   }
 }
 
@@ -320,15 +330,41 @@ std::optional<GlobalValue> DatNode::latest(Id key) const {
   return it->second.global;
 }
 
-void DatNode::arm_epoch(Id key) {
-  auto it = table_.find(key);
-  if (it == table_.end()) return;
-  it->second.timer = chord_.rpc().transport().set_timer(
-      period_of(it->second), [this, key]() {
-        if (!alive_) return;
-        run_epoch(key);
-        arm_epoch(key);
+void DatNode::arm_epoch(Entry& entry, std::uint64_t delay_us) {
+  // Table entries never move, and every path that erases one (stop_aggregate,
+  // the destructor) cancels its timer first.
+  entry.timer = chord_.rpc().transport().set_timer(
+      delay_us, [this, &entry]() {
+        if (alive_) on_grid(entry);
       });
+}
+
+void DatNode::on_grid(Entry& entry) {
+  const std::uint64_t now = chord_.rpc().transport().now_us();
+  const std::uint64_t period = period_of(entry);
+  // Timers never fire early, so lateness accumulates across re-arms; once
+  // it passes a quarter period, step back onto the grid. Armed before the
+  // push: the leaf hook runs inside it and may stop this aggregate.
+  const std::uint64_t late = now % period;
+  arm_epoch(entry, late <= period / 4 ? period : period - late);
+  // A childless node is complete at once and pushes its sample on the grid;
+  // a node with children normally pushes from handle_update. If the wave
+  // before this one never completed, a child stayed silent through
+  // it: push what we have (the deadline).
+  const std::uint64_t opened = wave_opened(entry, now);
+  if (entry.pushed_at_us >= opened) return;
+  if (complete(entry, opened)) {
+    run_epoch(entry, now, false);
+  } else if (entry.pushed_at_us + period < opened) {
+    run_epoch(entry, now, true);
+  }
+}
+
+std::uint64_t DatNode::wave_opened(const Entry& entry,
+                                   std::uint64_t t) const {
+  const std::uint64_t period = period_of(entry);
+  const std::uint64_t since = (t + period / 4) % period;
+  return t > since ? t - since : 0;
 }
 
 bool DatNode::fresh(const Entry& entry, const ChildRecord& child,
@@ -345,9 +381,8 @@ void DatNode::expire_children(Entry& entry, std::uint64_t now) {
   });
 }
 
-AggState DatNode::collect(Entry& entry) {
+AggState DatNode::collect(Entry& entry, std::uint64_t now) {
   AggState state = local_contribution(entry);
-  const std::uint64_t now = chord_.rpc().transport().now_us();
   expire_children(entry, now);  // departed children leave the aggregate
   for (const auto& [child_ep, record] : entry.children) {
     m_child_staleness_->observe(now - record.received_at_us);
@@ -385,20 +420,22 @@ void DatNode::send_handoff(net::Endpoint to, Id key,
   chord_.rpc().send_one_way(to, kHandoff, w);
 }
 
-void DatNode::run_epoch(Id key) {
-  auto it = table_.find(key);
-  if (it == table_.end() || !chord_.alive()) return;
-  Entry& entry = it->second;
+void DatNode::run_epoch(Entry& entry, std::uint64_t now, bool at_deadline) {
+  if (!chord_.alive()) return;
+  const Id key = entry.key;
   // A drained entry must not push again: its record upstream was retracted,
   // and a fresh update would resurrect it — double-counting the subtree it
   // just handed off.
   if (entry.draining) return;
   ++entry.epoch;
+  // A deadline push closes the wave that ended; the current wave still owes
+  // its own push.
+  if (!at_deadline) entry.pushed_at_us = now;
+  ++(at_deadline ? entry.pushes.deadline : entry.pushes.early);
   m_epochs_->inc();
-  const AggState state = collect(entry);
+  const AggState state = collect(entry, now);
 
   obs::NodeTelemetry& tel = chord_.telemetry();
-  const std::uint64_t now = chord_.rpc().transport().now_us();
   const auto parent = chord_.dat_parent(key, entry.scheme);
   if (!parent) {
     // This node is the root: the collected state is the global aggregate.
@@ -500,9 +537,16 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
     return;
   }
   ChildRecord& rec = entry.children[from];
+  const std::uint64_t now = chord_.rpc().transport().now_us();
+  const std::uint64_t opened = wave_opened(entry, now);
+  if (entry.counted_wave != opened) {
+    entry.counted_wave = opened;
+    entry.reported = 0;
+  }
+  if (rec.received_at_us < opened) ++entry.reported;  // first in this wave
   rec.ref = chord::NodeRef{update.sender, from};
   rec.state = update.state;
-  rec.received_at_us = chord_.rpc().transport().now_us();
+  rec.received_at_us = now;
 
   // Cycle breaker for load-balancing handoffs: if our designated relay is
   // pushing TO us, following the override would close a two-node loop and
@@ -524,6 +568,10 @@ void DatNode::handle_update(net::Endpoint from, net::Reader& msg) {
     entry.wave_parent_span =
         record_wave_span("dat.update.recv", tel.trace.trace_id(),
                          tel.trace.span_id(), entry, rec.received_at_us, from);
+  }
+  // Push on complete: the last child of this wave has reported.
+  if (entry.pushed_at_us < opened && complete(entry, opened)) {
+    run_epoch(entry, now, false);
   }
 }
 
@@ -842,6 +890,11 @@ std::uint64_t DatNode::updates_received(Id key) const {
 std::uint64_t DatNode::updates_sent(Id key) const {
   const auto it = table_.find(key & chord_.space().mask());
   return it == table_.end() ? 0 : it->second.updates_sent;
+}
+
+DatNode::PushCounts DatNode::pushes(Id key) const {
+  const auto it = table_.find(key & chord_.space().mask());
+  return it == table_.end() ? PushCounts{} : it->second.pushes;
 }
 
 std::size_t DatNode::child_count(Id key) const {

@@ -44,6 +44,15 @@ struct DatOptions {
 /// segmented broadcast with echo aggregation, and a routed query for the
 /// root's latest global value.
 ///
+/// Pushes travel in aligned waves (DESIGN.md §9). Every node derives the
+/// same grid, the multiples of the period, from its clock; at each grid
+/// point a node without children samples and pushes, and a node with
+/// children pushes as soon as each of them has reported in the current
+/// wave. A node whose child stayed silent for a whole wave pushes at the
+/// next grid point instead (the deadline). One wave thus climbs the tree in
+/// about one network delay per level, at one update per node, per tree, per
+/// period.
+///
 /// Parent selection is purely local (chord::Node::dat_parent — Algorithm 1
 /// evaluated against the live finger table), so the tree needs no
 /// membership maintenance: churn is absorbed by Chord stabilization, and a
@@ -190,6 +199,14 @@ class DatNode {
   /// "aggregation messages" metric of Fig. 8).
   [[nodiscard]] std::uint64_t updates_received(Id key) const;
   [[nodiscard]] std::uint64_t updates_sent(Id key) const;
+  /// Pushes (root emissions included) by the rule that triggered them:
+  /// `early` once every child had reported (a childless node at its
+  /// grid point), `deadline` at a grid point with a child still silent.
+  struct PushCounts {
+    std::uint64_t early = 0;
+    std::uint64_t deadline = 0;
+  };
+  [[nodiscard]] PushCounts pushes(Id key) const;
   /// Number of distinct live children currently known for `key`.
   [[nodiscard]] std::size_t child_count(Id key) const;
 
@@ -210,13 +227,21 @@ class DatNode {
     LocalStateFn local;  // leaf hook; null for a relay-only entry
     std::map<net::Endpoint, ChildRecord> children;
     std::uint64_t epoch = 0;
+    // The fields a wave timer reads sit together: most firings at a node
+    // with children find its push done and touch nothing else.
     net::TimerId timer = 0;
+    /// Per-key push-period override; 0 means DatOptions::epoch_us.
+    std::uint64_t epoch_us = 0;
+    /// When this entry last pushed on completion (not at a deadline).
+    std::uint64_t pushed_at_us = 0;
+    /// Children that have reported in the wave opened at `counted_wave`.
+    std::uint64_t counted_wave = 0;
+    std::size_t reported = 0;
+    PushCounts pushes;
     std::optional<GlobalValue> global;  // set while this node is the root
     std::deque<GlobalValue> history;    // root-side time series
     std::uint64_t updates_received = 0;
     std::uint64_t updates_sent = 0;
-    /// Per-key push-period override; 0 means DatOptions::epoch_us.
-    std::uint64_t epoch_us = 0;
     /// Load-balancing parent override (dat.handoff): while set and fresh,
     /// run_epoch pushes here instead of to the geometric dat_parent.
     chord::NodeRef parent_override{};
@@ -251,9 +276,29 @@ class DatNode {
   };
 
   void register_handlers();
-  void arm_epoch(Id key);
-  void run_epoch(Id key);
-  [[nodiscard]] AggState collect(Entry& entry);
+  /// Arms the entry's one wave timer `delay_us` ahead.
+  void arm_epoch(Entry& entry, std::uint64_t delay_us);
+  /// The wave timer: re-arms one period ahead (or back onto the grid once
+  /// the timer has drifted off it), then pushes when due.
+  void on_grid(Entry& entry);
+  /// Pushes the entry's collected state upstream (the root records it as
+  /// the global value instead); the one push path for both rules.
+  void run_epoch(Entry& entry, std::uint64_t now, bool at_deadline);
+  /// True when every child has reported in the wave opened at `opened`.
+  /// Stale records leave at the next push (collect), so a dead child holds
+  /// a wave back only until its TTL has run out.
+  [[nodiscard]] static bool complete(const Entry& entry, std::uint64_t opened) {
+    return entry.children.size() ==
+           (entry.counted_wave == opened ? entry.reported : 0);
+  }
+  /// When the wave that time `t` falls in opened. Grid points are the
+  /// multiples of the period on the transport clock, so every node sharing
+  /// that clock places the same waves; a wave opens a quarter period before
+  /// its grid point, so a report from a child whose clock runs slightly
+  /// ahead still counts for the wave it belongs to.
+  [[nodiscard]] std::uint64_t wave_opened(const Entry& entry,
+                                          std::uint64_t t) const;
+  [[nodiscard]] AggState collect(Entry& entry, std::uint64_t now);
   /// This node's own leaf contribution for the entry (identity when the
   /// entry is relay-only).
   [[nodiscard]] static AggState local_contribution(const Entry& entry) {

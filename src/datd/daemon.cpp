@@ -27,7 +27,10 @@ constexpr std::uint64_t kJoinTimeoutUs = 3'000'000;
 Daemon::Daemon(Config config)
     : config_(std::move(config)),
       space_(config_.bits),
-      network_(netio::ReactorOptions{.metrics = &metrics_}) {
+      // A clock origin shared with every other daemon, so all of them
+      // place DAT's aggregation waves on the same grid.
+      network_(netio::ReactorOptions{.metrics = &metrics_},
+               netio::shared_clock_origin_us()) {
   transport_ = &network_.add_node(config_.port);
   chord::NodeOptions node_options;
   node_ = std::make_unique<chord::Node>(space_, *transport_, node_options,

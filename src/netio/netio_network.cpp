@@ -2,8 +2,9 @@
 
 namespace dat::netio {
 
-NetioNetwork::NetioNetwork(const ReactorOptions& options)
-    : reactor_(options) {}
+NetioNetwork::NetioNetwork(const ReactorOptions& options,
+                           std::uint64_t t0_steady_us)
+    : reactor_(options, t0_steady_us) {}
 
 NetioTransport& NetioNetwork::add_node(std::uint16_t port) {
   return reactor_.add_socket(port);

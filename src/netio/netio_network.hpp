@@ -15,7 +15,10 @@ namespace dat::netio {
 /// multi-shard threaded mode is ReactorPool's job.
 class NetioNetwork {
  public:
-  explicit NetioNetwork(const ReactorOptions& options = {});
+  /// `t0_steady_us` is the clock origin (see Reactor); 0 starts the clock
+  /// at construction.
+  explicit NetioNetwork(const ReactorOptions& options = {},
+                        std::uint64_t t0_steady_us = 0);
 
   /// Binds a new UDP socket on 127.0.0.1 and returns its transport.
   /// `port` 0 lets the OS assign one (harness mode); a daemon passes its
@@ -28,7 +31,7 @@ class NetioNetwork {
   /// a receive handler or timer of the same network.
   void remove_node(net::Endpoint ep);
 
-  /// Microseconds since the network was constructed (monotonic wall clock).
+  /// Microseconds since the clock origin (monotonic).
   [[nodiscard]] std::uint64_t now_us() const;
 
   /// Pumps I/O and timers for the given wall-clock duration.

@@ -51,6 +51,16 @@ std::string errno_message(int err) {
 
 }  // namespace
 
+std::uint64_t shared_clock_origin_us() {
+  constexpr std::uint64_t kDayUs = 86'400'000'000;
+  const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::system_clock::now().time_since_epoch())
+                        .count();
+  // May wrap below zero when the host booted less than a day ago; the
+  // reactor's unsigned difference then still reads time of day.
+  return steady_now_us() - static_cast<std::uint64_t>(wall) % kDayUs;
+}
+
 bool mmsg_compiled() noexcept {
 #if DAT_NETIO_HAVE_MMSG
   return true;

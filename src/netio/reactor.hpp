@@ -53,6 +53,13 @@ struct ReactorOptions {
 /// at configure time (DAT_NETIO_HAVE_MMSG).
 [[nodiscard]] bool mmsg_compiled() noexcept;
 
+/// A steady-clock origin on which a reactor clock reads UTC time of day:
+/// microseconds since the UTC midnight before the process started, then
+/// counting on past it. Processes on hosts whose clocks agree (one host, or
+/// NTP) thus read clocks that differ by whole days, so any grid of a period
+/// dividing a day (DAT's aggregation waves) has the same points in all.
+[[nodiscard]] std::uint64_t shared_clock_origin_us();
+
 /// Plain-value snapshot of a shard's I/O counters.
 struct ReactorCounters {
   std::uint64_t epoll_waits = 0;

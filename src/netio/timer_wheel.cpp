@@ -5,6 +5,14 @@
 
 namespace dat::netio {
 
+namespace {
+/// Entries a drained slot keeps room for. A burst of timers due together
+/// (DAT's aligned pushes: every tree of every node on one grid point) grows
+/// its slot far beyond that; the memory goes back instead of staying parked
+/// in every slot such a burst ever passed through.
+constexpr std::size_t kSlotKeep = 64;
+}  // namespace
+
 TimerWheel::TimerWheel(std::uint64_t tick_us, std::size_t slot_count)
     : slots_(slot_count), tick_us_(tick_us) {
   if (tick_us == 0 || slot_count == 0) {
@@ -34,7 +42,7 @@ void TimerWheel::cancel(net::TimerId id) {
 }
 
 void TimerWheel::advance(std::uint64_t now_us) {
-  std::vector<Entry> due;
+  std::vector<Entry> due = std::move(due_);
   {
     // The wheel accepts schedule()/cancel() from any thread, so advance must
     // take the mutex; the critical section is short and uncontended in the
@@ -42,11 +50,13 @@ void TimerWheel::advance(std::uint64_t now_us) {
     // datlint:allow(hot-path): cross-thread wheel; tick-rate, short section
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t tick_now = now_us / tick_us_;
-    if (tick_now <= last_tick_) return;
+    if (tick_now <= last_tick_) {
+      due_ = std::move(due);
+      return;
+    }
     if (count_ > 0) {
       // Visit each slot the cursor passes; a jump beyond one revolution
       // degenerates to a single full sweep.
-      std::vector<Entry> repark;
       const std::uint64_t first = last_tick_ + 1;
       const std::uint64_t visit = std::min<std::uint64_t>(
           tick_now - last_tick_, slots_.size());
@@ -64,7 +74,7 @@ void TimerWheel::advance(std::uint64_t now_us) {
             // here it would wait out a whole revolution; re-park it one
             // tick ahead instead.
             // datlint:allow(hot-path): re-park batch, sized by due timers
-            repark.push_back(std::move(slot[i]));
+            repark_.push_back(std::move(slot[i]));
             slot[i] = std::move(slot.back());
             slot.pop_back();
           } else {
@@ -72,11 +82,15 @@ void TimerWheel::advance(std::uint64_t now_us) {
             ++i;
           }
         }
+        if (slot.empty() && slot.capacity() > kSlotKeep) {
+          std::vector<Entry>().swap(slot);
+        }
       }
-      for (Entry& entry : repark) {
+      for (Entry& entry : repark_) {
         // datlint:allow(hot-path): slot vectors retain capacity across ticks
         slots_[(tick_now + 1) % slots_.size()].push_back(std::move(entry));
       }
+      repark_.clear();
       count_ -= due.size();
       if (count_ == 0 && due.empty()) cancelled_.clear();
     }
@@ -96,6 +110,8 @@ void TimerWheel::advance(std::uint64_t now_us) {
     }
     entry.cb();
   }
+  due.clear();
+  due_ = std::move(due);
 }
 
 bool TimerWheel::empty() const {

@@ -58,6 +58,11 @@ class TimerWheel {
   /// Cancelled ids whose entries are still parked in a slot; reaped when
   /// the entry comes due (and wholesale once the wheel drains).
   std::unordered_set<net::TimerId> cancelled_;
+  /// advance()'s due batch and re-park list, kept so their capacity
+  /// survives between ticks. A callback that re-enters advance() (a nested
+  /// pump) finds due_ moved out and builds its own batch.
+  std::vector<Entry> due_;
+  std::vector<Entry> repark_;
   std::uint64_t tick_us_;
   std::uint64_t last_tick_ = 0;
   std::size_t count_ = 0;

@@ -359,7 +359,7 @@ void SelfMonitor::arm_tick() {
 
 void SelfMonitor::refresh_publish_states(std::uint64_t now_us) {
   if (publish_refreshed_us_ != 0 &&
-      now_us - publish_refreshed_us_ < options_.epoch_us / 2) {
+      now_us - publish_refreshed_us_ < options_.epoch_us) {
     return;
   }
   publish_refreshed_us_ = now_us;

@@ -206,8 +206,9 @@ class SelfMonitor {
 
   void arm_tick();
   /// Re-reads the local registry into the per-series publish states when
-  /// the cache is older than half an epoch (one registry snapshot serves
-  /// every series and every tree push in that window).
+  /// the cache is at least an epoch old: one registry snapshot per epoch
+  /// serves every series, the tick and every tree push, whichever grid
+  /// point the trees push on.
   void refresh_publish_states(std::uint64_t now_us);
   [[nodiscard]] core::AggState publish_state(std::size_t index);
   void evaluate(std::uint64_t now_us);

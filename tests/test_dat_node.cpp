@@ -435,4 +435,150 @@ TEST_F(DatClusterTest, TruncatedBodiesAreDropped) {
   EXPECT_FALSE(dat.has_parent_override(key));
 }
 
+// -- aligned waves -------------------------------------------------------------
+
+/// A steady 64-node ring with one MIN tree of leaf sample times, the shape
+/// of perfbench's trees: each emission's freshness is its time minus the
+/// oldest sample it carries.
+class AlignedWaveTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kNodes = 64;
+  static constexpr std::uint64_t kEpoch = 200'000;
+
+  AlignedWaveTest() {
+    harness::ClusterOptions options;
+    options.seed = 4242;
+    options.dat.epoch_us = kEpoch;
+    cluster_ = std::make_unique<harness::SimCluster>(kNodes, std::move(options));
+    converged_ = cluster_->wait_converged(600'000'000);
+    key_ = rendezvous_key("wave-test", cluster_->node(0).space());
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      cluster_->dat(i).start_aggregate(
+          key_, AggregateKind::kMin, chord::RoutingScheme::kBalanced, [this, i] {
+            return muted_[i] ? 1e18 : static_cast<double>(cluster_->now_us());
+          });
+    }
+    cluster_->run_for(10 * kEpoch);  // the first waves climb the tree
+  }
+
+  [[nodiscard]] std::size_t root_slot() const {
+    const Id root_id = cluster_->ring_view().successor(key_);
+    for (std::size_t i = 0; i < cluster_->slot_count(); ++i) {
+      if (cluster_->is_live(i) && cluster_->node(i).id() == root_id) return i;
+    }
+    return kNodes;
+  }
+
+  /// Root emissions at or after `since_us`.
+  [[nodiscard]] std::vector<GlobalValue> emissions(std::uint64_t since_us) {
+    std::vector<GlobalValue> out;
+    for (const GlobalValue& g : cluster_->dat(root_slot()).history(key_)) {
+      if (g.updated_at_us >= since_us) out.push_back(g);
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::uint64_t pushes(std::size_t slot) const {
+    const DatNode::PushCounts p = cluster_->dat(slot).pushes(key_);
+    return p.early + p.deadline;
+  }
+
+  std::unique_ptr<harness::SimCluster> cluster_;
+  bool converged_ = false;
+  Id key_ = 0;
+  /// A muted node samples a value that never becomes the minimum, so a
+  /// record it leaves behind does not read as stale data.
+  std::vector<bool> muted_ = std::vector<bool>(kNodes, false);
+};
+
+TEST_F(AlignedWaveTest, OneUpdatePerNodePerTreePerPeriod) {
+  ASSERT_TRUE(converged_);
+  std::vector<std::uint64_t> before(kNodes);
+  std::vector<std::uint64_t> deadline(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    before[i] = pushes(i);
+    deadline[i] = cluster_->dat(i).pushes(key_).deadline;
+  }
+  constexpr std::uint64_t kPeriods = 40;
+  cluster_->run_for(kPeriods * kEpoch);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    // A window of whole periods starting off the grid spans at most one
+    // more wave than it has periods.
+    const std::uint64_t n = pushes(i) - before[i];
+    EXPECT_GE(n, kPeriods - 1) << "slot " << i;
+    EXPECT_LE(n, kPeriods + 1) << "slot " << i;
+    // Steady and loss-free, no wave waits for a deadline.
+    EXPECT_EQ(cluster_->dat(i).pushes(key_).deadline, deadline[i])
+        << "slot " << i;
+  }
+}
+
+TEST_F(AlignedWaveTest, RootFreshnessIsWithinOneAndAHalfEpochs) {
+  ASSERT_TRUE(converged_);
+  const std::uint64_t since = cluster_->now_us();
+  cluster_->run_for(40 * kEpoch);
+  const std::vector<GlobalValue> seen = emissions(since);
+  ASSERT_GE(seen.size(), 39u);
+  for (const GlobalValue& g : seen) {
+    EXPECT_EQ(g.state.count, kNodes);
+    const double fresh_us = static_cast<double>(g.updated_at_us) - g.state.min;
+    EXPECT_GE(fresh_us, 0.0);
+    EXPECT_LE(fresh_us, 1.5 * kEpoch);
+  }
+}
+
+TEST_F(AlignedWaveTest, CrashedChildCostsAtMostTheDeadline) {
+  ASSERT_TRUE(converged_);
+  // Crash a leaf: a node that is not the root and has no children, so its
+  // parent waits on it and nothing else has to re-parent.
+  const std::size_t root = root_slot();
+  std::size_t victim = kNodes;
+  for (std::size_t i = 0; i < kNodes && victim == kNodes; ++i) {
+    if (i != root && cluster_->dat(i).child_count(key_) == 0) victim = i;
+  }
+  ASSERT_LT(victim, kNodes);
+  std::size_t parent = kNodes;
+  for (std::size_t i = 0; i < kNodes && parent == kNodes; ++i) {
+    const auto p = cluster_->node(victim).dat_parent(
+        key_, chord::RoutingScheme::kBalanced);
+    if (p && cluster_->node(i).self().endpoint == p->endpoint) parent = i;
+  }
+  ASSERT_LT(parent, kNodes);
+  // Mute the victim first: its last record then carries no sample time,
+  // and the emissions' freshness is that of the live contributors.
+  muted_[victim] = true;
+  cluster_->run_for(2 * kEpoch);
+  const std::uint64_t deadline_before =
+      cluster_->dat(parent).pushes(key_).deadline;
+
+  const std::uint64_t crash_at = cluster_->now_us();
+  cluster_->remove_node(victim, false);
+  cluster_->refresh_d0_hints();
+  cluster_->run_for(30 * kEpoch);
+
+  const std::vector<GlobalValue> seen = emissions(crash_at);
+  ASSERT_GE(seen.size(), 29u);
+  std::uint64_t last_us = crash_at;
+  for (const GlobalValue& g : seen) {
+    // The root keeps emitting: a wave that waits on the dead child still
+    // closes at its deadline.
+    EXPECT_LE(g.updated_at_us - last_us, 2 * kEpoch);
+    last_us = g.updated_at_us;
+    // Every live contributor is counted; the dead leaf's record lingers at
+    // most until its child TTL expires.
+    EXPECT_GE(g.state.count, kNodes - 1);
+    EXPECT_LE(g.state.count, kNodes);
+    // The silent child costs its parent at most the deadline: one period
+    // on top of the steady bound.
+    const double fresh_us = static_cast<double>(g.updated_at_us) - g.state.min;
+    EXPECT_LE(fresh_us, 2.5 * kEpoch);
+  }
+  // The parent waited on the dead child and pushed at deadlines ...
+  EXPECT_GT(cluster_->dat(parent).pushes(key_).deadline, deadline_before);
+  // ... until the record expired; the tree is then exact and fresh again.
+  EXPECT_EQ(seen.back().state.count, kNodes - 1);
+  EXPECT_LE(static_cast<double>(seen.back().updated_at_us) - seen.back().state.min,
+            1.5 * kEpoch);
+}
+
 }  // namespace

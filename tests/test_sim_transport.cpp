@@ -136,7 +136,7 @@ TEST_F(SimTransportTest, LatencyMultiplierScalesDelivery) {
 }
 
 TEST_F(SimTransportTest, LatencyBurstExpires) {
-  auto& a = network_.add_node();
+  network_.add_node();
   auto& b = network_.add_node();
   b.set_receive_handler([](Endpoint, const Message&) {});
   network_.latency_burst(8.0, 1000);
