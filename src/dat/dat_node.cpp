@@ -342,11 +342,10 @@ void DatNode::arm_epoch(Entry& entry, std::uint64_t delay_us) {
 void DatNode::on_grid(Entry& entry) {
   const std::uint64_t now = chord_.rpc().transport().now_us();
   const std::uint64_t period = period_of(entry);
-  // Timers never fire early, so lateness accumulates across re-arms; once
-  // it passes a quarter period, step back onto the grid. Armed before the
-  // push: the leaf hook runs inside it and may stop this aggregate.
-  const std::uint64_t late = now % period;
-  arm_epoch(entry, late <= period / 4 ? period : period - late);
+  // Re-armed with exactly the period, so the transport keeps the timer on
+  // its grid however late this firing ran. Armed before the push: the leaf
+  // hook runs inside it and may stop this aggregate.
+  arm_epoch(entry, period);
   // A childless node is complete at once and pushes its sample on the grid;
   // a node with children normally pushes from handle_update. If the wave
   // before this one never completed, a child stayed silent through

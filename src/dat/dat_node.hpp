@@ -278,8 +278,9 @@ class DatNode {
   void register_handlers();
   /// Arms the entry's one wave timer `delay_us` ahead.
   void arm_epoch(Entry& entry, std::uint64_t delay_us);
-  /// The wave timer: re-arms one period ahead (or back onto the grid once
-  /// the timer has drifted off it), then pushes when due.
+  /// The wave timer: re-arms with exactly the period, which the transport
+  /// counts from this firing's due time (Transport::set_timer), so the
+  /// timer stays on the grid its first arm landed on; then pushes when due.
   void on_grid(Entry& entry);
   /// Pushes the entry's collected state upstream (the root records it as
   /// the global value instead); the one push path for both rules.

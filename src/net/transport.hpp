@@ -176,7 +176,12 @@ class Transport {
   virtual void set_receive_handler(ReceiveHandler handler) = 0;
 
   /// One-shot timer after `delay_us` microseconds (virtual or wall time,
-  /// depending on the implementation).
+  /// depending on the implementation). Periodic timers keep their phase: a
+  /// timer set from inside a timer callback with the same delay as the
+  /// timer that is firing is due one delay after that timer was due, not
+  /// after now, and periods a stall skipped are dropped, not fired in a
+  /// burst. (The simulator runs every callback at its deadline, so there
+  /// the two coincide.)
   virtual TimerId set_timer(std::uint64_t delay_us, std::function<void()> cb) = 0;
   virtual void cancel_timer(TimerId id) = 0;
 

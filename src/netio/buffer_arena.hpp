@@ -5,11 +5,12 @@
 
 namespace dat::netio {
 
-/// Recycling pool of datagram-sized byte buffers, one arena per reactor
-/// shard (thread-confined, so no locking). The receive slots and the write
-/// coalescer's in-flight datagrams draw from here, making the steady-state
-/// hot path allocation-free: a buffer is acquired, filled, handed to the
-/// kernel, and released back for reuse.
+/// Recycling pool of byte buffers, one arena per reactor shard
+/// (thread-confined, so no locking). The write coalescer's in-flight
+/// datagrams draw from here, making the steady-state send path
+/// allocation-free: a buffer is acquired, filled (growing past
+/// buffer_bytes() when a datagram needs it), handed to the kernel, and
+/// released back for reuse.
 class BufferArena {
  public:
   explicit BufferArena(std::size_t buffer_bytes);

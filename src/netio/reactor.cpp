@@ -32,6 +32,10 @@ constexpr unsigned kSendBatch = 64;
 constexpr int kSoRcvbuf = 1 << 22;
 /// Timer wheel size.
 constexpr std::size_t kTimerSlots = 256;
+/// Initial capacity of a coalescer datagram buffer. A DAT update frame is
+/// about 25 B; a datagram that batches more frames grows its vector (up to
+/// max_datagram), and the arena recycles it at that size.
+constexpr std::size_t kDatagramReserve = 512;
 
 std::uint64_t steady_now_us() {
   return static_cast<std::uint64_t>(
@@ -164,7 +168,7 @@ Reactor::Reactor(const ReactorOptions& options, std::uint64_t t0_steady_us)
     : options_(options),
       t0_us_(t0_steady_us != 0 ? t0_steady_us : steady_now_us()),
       wheel_(options.timer_tick_us, kTimerSlots),
-      arena_(options.max_datagram),
+      arena_(kDatagramReserve),
       scratch_(std::make_unique<Scratch>()) {
   if (options_.recv_batch == 0) {
     throw std::invalid_argument("Reactor: recv_batch must be > 0");
@@ -371,7 +375,8 @@ void Reactor::run_tasks() {
 
 net::TimerId Reactor::set_timer(std::uint64_t delay_us,
                                 std::function<void()> cb) {
-  const net::TimerId id = wheel_.schedule(now_us() + delay_us, std::move(cb));
+  const net::TimerId id =
+      wheel_.schedule(now_us() + delay_us, std::move(cb), delay_us);
   if (running() && !on_loop_thread()) {
     // The loop may be parked in a long epoll_wait that predates this timer.
     const std::uint64_t one = 1;

@@ -141,7 +141,7 @@ class NetioTransport final : public net::Transport {
 ///  - threaded: start() spawns the shard thread, stop() joins it
 ///    (ReactorPool runs N of these for the multi-shard configuration).
 ///
-/// Receive path: epoll_wait -> recvmmsg bursts into arena buffers -> batch
+/// Receive path: epoll_wait -> recvmmsg bursts into receive buffers -> batch
 /// split -> hardened Message::try_decode -> handler upcall. Send path:
 /// frames coalesce per destination and every pending datagram of a socket
 /// is flushed with one sendmmsg at the end of the loop iteration, so an
@@ -185,7 +185,9 @@ class Reactor {
   void post(std::function<void()> fn);
 
   /// Timer surface shared by every socket on the shard; safe from any
-  /// thread. Callbacks fire on the shard thread.
+  /// thread. Callbacks fire on the shard thread. A timer set from one of
+  /// the shard's timer callbacks with that timer's own delay keeps its phase
+  /// (TimerWheel); every other timer counts from now.
   net::TimerId set_timer(std::uint64_t delay_us, std::function<void()> cb);
   void cancel_timer(net::TimerId id);
 

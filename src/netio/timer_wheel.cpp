@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dat::netio {
 
@@ -11,6 +12,23 @@ namespace {
 /// its slot far beyond that; the memory goes back instead of staying parked
 /// in every slot such a burst ever passed through.
 constexpr std::size_t kSlotKeep = 64;
+
+/// The entry whose callback this thread is running, for the phase rule.
+/// Set around each callback and restored after it, so a nested advance()
+/// leaves the outer entry in place.
+struct Firing {
+  const TimerWheel* wheel = nullptr;
+  std::uint64_t deadline_us = 0;
+  std::uint64_t delay_us = 0;
+};
+thread_local Firing t_firing;
+
+struct FiringScope {
+  explicit FiringScope(const Firing& firing)
+      : outer(std::exchange(t_firing, firing)) {}
+  ~FiringScope() { t_firing = outer; }
+  Firing outer;
+};
 }  // namespace
 
 TimerWheel::TimerWheel(std::uint64_t tick_us, std::size_t slot_count)
@@ -21,7 +39,17 @@ TimerWheel::TimerWheel(std::uint64_t tick_us, std::size_t slot_count)
 }
 
 net::TimerId TimerWheel::schedule(std::uint64_t deadline_us,
-                                  std::function<void()> cb) {
+                                  std::function<void()> cb,
+                                  std::uint64_t delay_us) {
+  if (delay_us != 0 && t_firing.wheel == this &&
+      t_firing.delay_us == delay_us) {
+    // The firing entry's next period: the first point of its grid after
+    // now, so periods a stall passed are skipped, not fired back to back.
+    const std::uint64_t now = deadline_us - delay_us;
+    const std::uint64_t due = t_firing.deadline_us;
+    const std::uint64_t late = now > due ? now - due : 0;
+    deadline_us = due + (late / delay_us + 1) * delay_us;
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
   const net::TimerId id = next_id_++;
   // Placement is clamped past the wheel's current tick: a deadline in the
@@ -30,7 +58,7 @@ net::TimerId TimerWheel::schedule(std::uint64_t deadline_us,
   const std::uint64_t placement_tick =
       std::max(deadline_us / tick_us_, last_tick_ + 1);
   slots_[placement_tick % slots_.size()].push_back(
-      Entry{deadline_us, id, std::move(cb)});
+      Entry{deadline_us, delay_us, id, std::move(cb)});
   ++count_;
   return id;
 }
@@ -108,6 +136,7 @@ void TimerWheel::advance(std::uint64_t now_us) {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (cancelled_.erase(entry.id) > 0) continue;
     }
+    const FiringScope scope(Firing{this, entry.deadline_us, entry.delay_us});
     entry.cb();
   }
   due.clear();

@@ -22,6 +22,16 @@ namespace dat::netio {
 ///
 /// Resolution is one tick (default 1024 us): a timer never fires early, and
 /// fires at most ~one tick late once advance() observes the deadline.
+///
+/// Periodic timers keep their phase. A timer scheduled from inside one of
+/// this wheel's callbacks, on the thread running it, with the same delay as
+/// the entry that is firing, is that entry's next period: it is due one
+/// delay after the firing entry was *due*, not one delay after now, so the
+/// lateness of a firing never carries into the next one. Periods that a
+/// stall skipped entirely are dropped, not fired in a burst: the next
+/// deadline is the first one of that period grid still in the future. Every
+/// other timer (another delay, no callback running, another thread or
+/// another wheel) counts from now.
 class TimerWheel {
  public:
   TimerWheel(std::uint64_t tick_us, std::size_t slot_count);
@@ -30,7 +40,10 @@ class TimerWheel {
   TimerWheel& operator=(const TimerWheel&) = delete;
 
   /// Arms a timer for the absolute wheel-clock deadline. Thread-safe.
-  net::TimerId schedule(std::uint64_t deadline_us, std::function<void()> cb);
+  /// `delay_us` is the delay the caller counted `deadline_us` from now with
+  /// (0: none); a nonzero delay is what the phase rule above compares.
+  net::TimerId schedule(std::uint64_t deadline_us, std::function<void()> cb,
+                        std::uint64_t delay_us = 0);
 
   /// Cancels a pending timer; ids of already-fired timers are ignored.
   /// Thread-safe, including from inside a timer callback of the same wheel
@@ -49,6 +62,7 @@ class TimerWheel {
  private:
   struct Entry {
     std::uint64_t deadline_us;
+    std::uint64_t delay_us;
     net::TimerId id;
     std::function<void()> cb;
   };

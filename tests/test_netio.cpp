@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,6 +87,102 @@ TEST(TimerWheelTest, PastDeadlineFiresOnNextAdvance) {
   wheel.schedule(10'000, [&] { fired = true; });  // already in the past
   wheel.advance(31'000);
   EXPECT_TRUE(fired);
+}
+
+// Phase rule: the tests drive a synthetic clock and arm timers the way
+// Reactor::set_timer does, deadline now + delay with the delay passed on.
+
+TEST(TimerWheelPhaseTest, ReArmWithOwnDelayStaysOnPhaseWhenFiringLate) {
+  constexpr std::uint64_t kTick = 1'000;
+  constexpr std::uint64_t kPeriod = 10'500;  // not a whole number of ticks
+  TimerWheel wheel(kTick, 64);
+  std::uint64_t now = 0;
+  std::vector<std::uint64_t> fired_at;
+  std::function<void()> on_period = [&] {
+    fired_at.push_back(now);
+    wheel.schedule(now + kPeriod, on_period, kPeriod);
+  };
+  wheel.schedule(now + kPeriod, on_period, kPeriod);
+  // Every advance runs 0.9 tick after its tick boundary, so each firing is
+  // late; counted from now, that lateness would pile up period on period.
+  constexpr std::uint64_t kPeriods = 1'000;
+  for (std::uint64_t t = 0; fired_at.size() < kPeriods; ++t) {
+    now = t * kTick + 900;
+    wheel.advance(now);
+  }
+  for (std::size_t k = 0; k < fired_at.size(); ++k) {
+    const std::uint64_t due = (k + 1) * kPeriod;
+    ASSERT_GE(fired_at[k], due) << "period " << k;
+    ASSERT_LT(fired_at[k] - due, kTick) << "period " << k;
+  }
+  EXPECT_EQ(wheel.size(), 1u);
+}
+
+TEST(TimerWheelPhaseTest, StallFiresOnceAndTheNextFiringIsBackOnPhase) {
+  constexpr std::uint64_t kTick = 1'000;
+  constexpr std::uint64_t kPeriod = 10'000;
+  TimerWheel wheel(kTick, 64);
+  std::uint64_t now = 0;
+  std::vector<std::uint64_t> fired_at;
+  std::function<void()> on_period = [&] {
+    fired_at.push_back(now);
+    wheel.schedule(now + kPeriod, on_period, kPeriod);
+  };
+  wheel.schedule(now + kPeriod, on_period, kPeriod);
+  auto run_to = [&](std::uint64_t until) {
+    while (now < until) {
+      now += kTick;
+      wheel.advance(now);
+    }
+  };
+  run_to(3 * kPeriod);
+  ASSERT_EQ(fired_at.size(), 3u);
+  // The loop stalls from 3T to 5.5T: the periods due at 4T and 5T were
+  // skipped; one firing catches up, not two back to back.
+  now = 3 * kPeriod + 5 * kPeriod / 2;
+  wheel.advance(now);
+  ASSERT_EQ(fired_at.size(), 4u);
+  EXPECT_EQ(fired_at.back(), now);
+  run_to(6 * kPeriod - kTick);
+  EXPECT_EQ(fired_at.size(), 4u);
+  run_to(6 * kPeriod);
+  ASSERT_EQ(fired_at.size(), 5u);
+  EXPECT_EQ(fired_at.back(), 6 * kPeriod);
+}
+
+TEST(TimerWheelPhaseTest, OtherDelaysAndTimersSetOutsideCallbacksCountFromNow) {
+  constexpr std::uint64_t kTick = 1'000;
+  constexpr std::uint64_t kPeriod = 10'000;
+  TimerWheel wheel(kTick, 64);
+  std::uint64_t now = 0;
+  bool other_fired = false;
+  wheel.schedule(now + kPeriod, [&] {
+    // Fires 700 us late; a different delay counts from now, not from the
+    // firing timer's due time.
+    wheel.schedule(now + kPeriod / 2, [&] { other_fired = true; },
+                   kPeriod / 2);
+  }, kPeriod);
+  now = kPeriod + 700;
+  wheel.advance(now);
+  now = 15'000;
+  wheel.advance(now);
+  EXPECT_FALSE(other_fired);  // due at 15,700, not 15,000
+  now = 16'000;
+  wheel.advance(now);
+  EXPECT_TRUE(other_fired);
+
+  // Outside any callback, the same delay as the timer that fired above
+  // still counts from now.
+  bool outside_fired = false;
+  now = 20'300;
+  wheel.advance(now);
+  wheel.schedule(now + kPeriod, [&] { outside_fired = true; }, kPeriod);
+  now = 30'000;
+  wheel.advance(now);
+  EXPECT_FALSE(outside_fired);  // due at 30,300
+  now = 31'000;
+  wheel.advance(now);
+  EXPECT_TRUE(outside_fired);
 }
 
 // --------------------------------------------------------- buffer arena
@@ -390,6 +488,36 @@ TEST(ReactorPoolTest, CrossShardTimersScheduleAndCancelSafely) {
   pool.stop();
   EXPECT_EQ(fired.load(), 2 * kPerThread);
   EXPECT_EQ(cancelled_fired.load(), 0);
+}
+
+TEST(ReactorPoolTest, CrossShardTimerCountsFromNow) {
+  ReactorPoolOptions options;
+  options.shards = 2;
+  options.reactor.timer_tick_us = 500;
+  ReactorPool pool(options);
+  NetioTransport& a = pool.add_node();  // shard 0
+  NetioTransport& b = pool.add_node();  // shard 1
+  ASSERT_NE(pool.shard_of(a.local()), pool.shard_of(b.local()));
+  pool.start();
+  // A late timer callback on shard 0 arms shard 1's wheel with its own
+  // delay. Shard 1 has no firing timer to keep in phase with, so the new
+  // timer counts from now: anchored to the firing timer's due time it would
+  // fire about kLate early.
+  constexpr std::uint64_t kDelay = 40'000;
+  constexpr std::uint64_t kLate = 25'000;
+  std::atomic<std::uint64_t> set_at{0};
+  std::atomic<std::uint64_t> fired_at{0};
+  a.set_timer(kDelay, [&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(kLate));
+    set_at.store(pool.now_us());
+    b.set_timer(kDelay, [&] { fired_at.store(pool.now_us()); });
+  });
+  for (int i = 0; i < 400 && fired_at.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pool.stop();
+  ASSERT_NE(fired_at.load(), 0u);
+  EXPECT_GE(fired_at.load() - set_at.load(), kDelay);
 }
 
 TEST(ReactorPoolTest, RemoveNodeWhileShardsRun) {
